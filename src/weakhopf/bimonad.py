@@ -68,11 +68,13 @@ class AxiomReport:
 
 def first_difference(a, b):
     """First (row, col) where the matrices differ, or None."""
-    for i in range(a.rows):
-        ra, rb = a.data[i], b.data[i]
-        for j in range(a.cols):
-            if not is_zero(ra[j] - rb[j]):
-                return (i, j)
+    for i, (ra, rb) in enumerate(zip(a.rowmaps, b.rowmaps)):
+        if ra == rb:
+            continue
+        cols = [j for j in ra.keys() | rb.keys()
+                if not is_zero(ra.get(j, 0) - rb.get(j, 0))]
+        if cols:
+            return (i, min(cols))
     return None
 
 

@@ -38,8 +38,9 @@ from .tensorexpr import TensorMap, parse_expr
 
 def _to_float(bim: WeakBraidedBimonad) -> WeakBraidedBimonad:
     def conv(f: TensorMap) -> TensorMap:
-        mat = exactmat.Mat(f.mat.rows, f.mat.cols,
-                           [[float(v) for v in row] for row in f.mat.data])
+        mat = exactmat.Mat.from_entries(
+            f.mat.rows, f.mat.cols,
+            {(i, j): float(v) for i, j, v in f.mat.items()})
         return TensorMap(f.dom, f.cod, mat)
 
     return WeakBraidedBimonad(
@@ -52,11 +53,7 @@ def _to_float(bim: WeakBraidedBimonad) -> WeakBraidedBimonad:
 
 
 def _load_instance(args) -> WeakBraidedBimonad:
-    bim = inst.load(args.path)
-    if bim.n > args.max_dim:
-        raise SchemaError(
-            f"dim {bim.n} exceeds --max-dim {args.max_dim}; raise the guard "
-            "explicitly for large instances", "dim")
+    bim = inst.load(args.path, max_dim=args.max_dim)
     if args.float:
         bim = _to_float(bim)
     return bim
@@ -164,15 +161,12 @@ def cmd_derive(args) -> int:
     return 0 if ok else 1
 
 
+def _literal(v) -> str:
+    return repr(v) if isinstance(v, float) else str(Fraction(v))
+
+
 def _sparse_endo_rows(f: TensorMap):
-    rows = []
-    mat = f.mat
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if mat.data[i][j] != 0:
-                rows.append([j, i, str(Fraction(mat.data[i][j]))
-                             if not isinstance(mat.data[i][j], float)
-                             else repr(mat.data[i][j])])
+    rows = [[j, i, _literal(v)] for i, j, v in f.mat.items()]
     rows.sort(key=lambda row: row[:2])
     return rows
 
@@ -324,11 +318,7 @@ def cmd_eval(args) -> int:
         "expr": args.expr,
         "dom": list(result.dom),
         "cod": list(result.cod),
-        "entries": [[i, j, str(Fraction(v)) if not isinstance(v, float)
-                     else repr(v)]
-                    for i in range(result.mat.rows)
-                    for j in range(result.mat.cols)
-                    if (v := result.mat.data[i][j]) != 0],
+        "entries": [[i, j, _literal(v)] for i, j, v in result.mat.items()],
     }
     sys.stdout.write(f"map {result.dom} -> {result.cod}\n")
     sys.stdout.write(result.mat.pretty() + "\n")
@@ -353,6 +343,7 @@ def _parse_table(text):
 
 
 def cmd_gen(args) -> int:
+    # every branch checks the requested size before any map is built
     if args.kind == "groupoid":
         if args.objects is None:
             raise InvalidSpec("gen groupoid needs --objects")
@@ -365,12 +356,17 @@ def cmd_gen(args) -> int:
         else:
             spec = inst.discrete_groupoid(args.objects)
             name = args.name or f"K{args.objects}"
+        inst.check_max_dim(spec.dim(), args.max_dim)
         bim = inst.groupoid_algebra(spec, name=name)
     elif args.kind == "group":
         if args.cyclic is None and not args.table:
             raise InvalidSpec("gen group needs --cyclic N or --table")
-        table = (inst.cyclic_group_table(args.cyclic) if args.cyclic is not None
-                 else _parse_table(args.table))
+        if args.cyclic is not None:
+            inst.check_max_dim(args.cyclic, args.max_dim)
+            table = inst.cyclic_group_table(args.cyclic)
+        else:
+            table = _parse_table(args.table)
+            inst.check_max_dim(len(table), args.max_dim)
         name = args.name or (f"Z{args.cyclic}" if args.cyclic is not None
                              else f"group{len(table)}")
         bim = inst.group_algebra(table, name=name)
@@ -378,17 +374,17 @@ def cmd_gen(args) -> int:
         if not args.table:
             raise InvalidSpec("gen monoid needs --table \"0,1;1,1\"")
         table = _parse_table(args.table)
+        inst.check_max_dim(len(table), args.max_dim)
         bim = inst.monoid_algebra(table, name=args.name or f"monoid{len(table)}")
     elif args.kind == "superline":
+        inst.check_max_dim(2, args.max_dim)
         bim = inst.super_line()
     elif args.kind == "dual":
         if not args.of:
             raise InvalidSpec("gen dual needs --of INSTANCE")
-        bim = inst.dual_instance(inst.load(args.of))
+        bim = inst.dual_instance(inst.load(args.of, max_dim=args.max_dim))
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidSpec(f"unknown kind {args.kind}")
-    if bim.n > args.max_dim:
-        raise SchemaError(f"dim {bim.n} exceeds --max-dim {args.max_dim}", "dim")
 
     expected = None
     if bimonad.instance_passes(bim):

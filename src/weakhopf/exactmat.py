@@ -1,12 +1,23 @@
-"""Exact rational dense matrix kernel.
+"""Exact rational sparse matrix kernel.
+
+A matrix is stored as one ``{col: value}`` map per row, and no exact zero is
+ever stored.  Products, Kronecker products and identity whiskers therefore
+cost in proportion to the nonzeros: ``mul`` is the row-wise sparse product
+(Gustavson, ACM TOMS 1978), and ``kron`` and ``whisker`` emit only products
+of nonzeros.
 
 Entries are ``fractions.Fraction`` values (plain ints are accepted as exact
-rationals; they mix freely under arithmetic).  Every elimination picks the
-first usable pivot in row/column order, so ranks, kernels, cokernels and
-idempotent splittings are bit-identical across runs and platforms.
+rationals; they mix freely under arithmetic).  An integral Fraction is always
+stored as an int, which compares, hashes and prints like the equal Fraction
+and keeps most arithmetic on structure constants in machine integers.  Every
+elimination picks the first usable pivot in row/column order, so ranks,
+kernels, cokernels and idempotent splittings are bit-identical across runs
+and platforms.
 
 A CLI-only float mode replaces exact zero tests by a threshold; see
-:class:`tolerance`.  The default is exact comparison.
+:class:`tolerance`.  The default is exact comparison.  Only exact zeros are
+dropped from storage; in float mode tiny values stay stored and the
+comparisons and pivot choices test them with :func:`is_zero`.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ _EPS = None  # None = exact mode; a float threshold in CLI float mode
 
 
 class tolerance:
-    """Context manager for the CLI float mode; not used by the test suite."""
+    """Context manager for the CLI float mode."""
 
     def __init__(self, eps):
         self.eps = eps
@@ -51,29 +62,49 @@ def _reciprocal(x):
     return 1 / x
 
 
-class Mat:
-    """Immutable dense matrix, row-major tuple-of-tuples storage."""
+def _int_if_integral(v):
+    if v.__class__ is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
 
-    __slots__ = ("rows", "cols", "data")
+
+def _nonzero(row):
+    """The row without its exact zeros, integral Fractions made ints."""
+    out = {}
+    for j, v in row.items():
+        if v:
+            out[j] = v.numerator if v.__class__ is Fraction \
+                and v.denominator == 1 else v
+    return out
+
+
+class Mat:
+    """Immutable sparse matrix: ``rowmaps[i]`` maps column -> nonzero value.
+
+    ``Mat(rows, cols, dense_rows)`` builds from dense rows; ``data`` is a
+    read-only dense tuple-of-tuples view, built on every access.  The row
+    maps are shared between matrices and must never be mutated.
+    """
+
+    __slots__ = ("rows", "cols", "rowmaps")
 
     def __init__(self, rows, cols, data):
-        data = tuple(tuple(row) for row in data)
+        data = [tuple(row) for row in data]
         if len(data) != rows or any(len(row) != cols for row in data):
             raise DimensionMismatch(f"bad shape for {rows}x{cols} matrix")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        _init(self, rows, cols,
+              tuple(_nonzero(dict(enumerate(row))) for row in data))
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
 
     @staticmethod
     def zeros(rows, cols):
-        return Mat(rows, cols, [[0] * cols for _ in range(rows)])
+        return _make(rows, cols, tuple({} for _ in range(rows)))
 
     @staticmethod
     def identity(n):
-        return Mat(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _make(n, n, tuple({i: 1} for i in range(n)))
 
     @staticmethod
     def from_rows(rows):
@@ -82,35 +113,44 @@ class Mat:
 
     @staticmethod
     def column(values):
-        return Mat(len(values), 1, [[v] for v in values])
+        return _make(len(values), 1, tuple(_nonzero({0: v}) for v in values))
 
     @staticmethod
     def from_entries(rows, cols, entries):
         """Build from a {(i, j): value} dict; omitted entries are zero."""
-        grid = [[0] * cols for _ in range(rows)]
+        maps = [{} for _ in range(rows)]
         for (i, j), v in entries.items():
-            grid[i][j] = v
-        return Mat(rows, cols, grid)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise DimensionMismatch(
+                    f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            if v:
+                maps[i][j] = _int_if_integral(v)
+        return _make(rows, cols, tuple(maps))
+
+    @property
+    def data(self):
+        cols = range(self.cols)
+        return tuple(tuple(row.get(j, 0) for j in cols) for row in self.rowmaps)
+
+    def items(self):
+        """(row, col, value) of every stored entry in row-major order."""
+        for i, row in enumerate(self.rowmaps):
+            for j in sorted(row):
+                yield i, j, row[j]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return self.rowmaps[i].get(j, 0)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.rowmaps == other.rowmaps)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.rowmaps)))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
@@ -122,31 +162,21 @@ class Mat:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Mat(
-            self.rows,
-            self.cols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        return _make(self.rows, self.cols, tuple(
+            _merge(ra, rb, 1) for ra, rb in zip(self.rowmaps, other.rowmaps)))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Mat(
-            self.rows,
-            self.cols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-        )
+        return _make(self.rows, self.cols, tuple(
+            _merge(ra, rb, -1) for ra, rb in zip(self.rowmaps, other.rowmaps)))
 
     def __neg__(self):
-        return Mat(self.rows, self.cols, [[-a for a in row] for row in self.data])
+        return _make(self.rows, self.cols, tuple(
+            {j: -v for j, v in row.items()} for row in self.rowmaps))
 
     def scale(self, c):
-        return Mat(self.rows, self.cols, [[c * a for a in row] for row in self.data])
+        return _make(self.rows, self.cols, tuple(
+            _nonzero({j: c * v for j, v in row.items()}) for row in self.rowmaps))
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -158,54 +188,128 @@ class Mat:
         return mul(self, other)
 
     def transpose(self):
-        return Mat(
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.rowmaps):
+            for j, v in row.items():
+                out[j][i] = v
+        return _make(self.cols, self.rows, tuple(out))
 
     def is_zero_mat(self):
-        return all(is_zero(v) for row in self.data for v in row)
+        if _EPS is None:
+            return not any(self.rowmaps)
+        return all(is_zero(v) for row in self.rowmaps for v in row.values())
 
     def column_mat(self, js):
         """Submatrix made of the listed columns, in the given order."""
-        return Mat(
-            self.rows, len(js), [[row[j] for j in js] for row in self.data]
-        )
+        at = {j: t for t, j in enumerate(js)}
+        return _make(self.rows, len(js), tuple(
+            {at[j]: v for j, v in row.items() if j in at} for row in self.rowmaps))
+
+
+def _init(mat, rows, cols, rowmaps):
+    object.__setattr__(mat, "rows", rows)
+    object.__setattr__(mat, "cols", cols)
+    object.__setattr__(mat, "rowmaps", rowmaps)
+
+
+def _make(rows, cols, rowmaps):
+    """Mat from a tuple of row maps that hold no zero and no integral
+    Fraction, without copying or checks."""
+    mat = object.__new__(Mat)
+    _init(mat, rows, cols, rowmaps)
+    return mat
+
+
+def _merge(ra, rb, sign):
+    """The row ra + sign * rb, without exact zeros."""
+    if not rb:
+        return ra
+    if not ra and sign == 1:
+        return rb
+    out = dict(ra)
+    for j, v in rb.items():
+        x = out.get(j, 0) + v if sign == 1 else out.get(j, 0) - v
+        if x:
+            out[j] = _int_if_integral(x)
+        else:
+            out.pop(j, None)
+    return out
+
+
+def _row_times(arow, brows):
+    """The row arow * B, with B given by its row maps."""
+    if len(arow) == 1:
+        (k, aik), = arow.items()
+        if aik.__class__ is int and aik == 1:
+            return brows[k]
+        return _nonzero({j: aik * v for j, v in brows[k].items()})
+    acc = {}
+    for k, aik in arow.items():
+        for j, v in brows[k].items():
+            if j in acc:
+                acc[j] += aik * v
+            else:
+                acc[j] = aik * v
+    return _nonzero(acc)
 
 
 def mul(a: Mat, b: Mat) -> Mat:
-    """Exact product a*b, skipping zero entries of a."""
+    """Exact product a*b, row by row over the nonzeros of both factors."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    out = []
-    for arow in a.data:
-        acc = [0] * b.cols
-        for k, aik in enumerate(arow):
-            if aik == 0:
-                continue
-            brow = b.data[k]
-            for j, bkj in enumerate(brow):
-                if bkj != 0:
-                    acc[j] += aik * bkj
-        out.append(acc)
-    return Mat(a.rows, b.cols, out)
+    brows = b.rowmaps
+    return _make(a.rows, b.cols, tuple(
+        _row_times(arow, brows) if arow else {} for arow in a.rowmaps))
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; the left factor is most significant in index order."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    grid = [[0] * cols for _ in range(rows)]
-    for i1, arow in enumerate(a.data):
-        for j1, av in enumerate(arow):
-            if av == 0:
-                continue
-            roff, coff = i1 * b.rows, j1 * b.cols
-            for i2, brow in enumerate(b.data):
-                for j2, bv in enumerate(brow):
-                    if bv != 0:
-                        grid[roff + i2][coff + j2] = av * bv
-    return Mat(rows, cols, grid)
+    bcols = b.cols
+    out = []
+    for arow in a.rowmaps:
+        for brow in b.rowmaps:
+            row = {}
+            scaled = False
+            if brow:
+                for j1, av in arow.items():
+                    off = j1 * bcols
+                    if av.__class__ is int and av == 1:
+                        for j2, bv in brow.items():
+                            row[off + j2] = bv
+                    else:
+                        scaled = True
+                        for j2, bv in brow.items():
+                            row[off + j2] = av * bv
+            out.append(_nonzero(row) if scaled else row)
+    return _make(a.rows * b.rows, a.cols * bcols, tuple(out))
+
+
+def whisker(m: Mat, left: int, right: int) -> Mat:
+    """kron(identity(left), m, identity(right)), built from the nonzeros of m."""
+    if left == 1 and right == 1:
+        return m
+    out = []
+    for i in range(left):
+        off = i * m.cols
+        for row in m.rowmaps:
+            if right == 1:
+                out.append({off + c: v for c, v in row.items()} if off else row)
+            else:
+                for k in range(right):
+                    out.append({(off + c) * right + k: v for c, v in row.items()})
+    return _make(left * m.rows * right, left * m.cols * right, tuple(out))
+
+
+def _hstack(a: Mat, b: Mat) -> Mat:
+    """[a | b] for matrices with equal row counts."""
+    off = a.cols
+    out = []
+    for ra, rb in zip(a.rowmaps, b.rowmaps):
+        row = dict(ra)
+        for j, v in rb.items():
+            row[off + j] = v
+        out.append(row)
+    return _make(a.rows, a.cols + b.cols, tuple(out))
 
 
 def rref(m: Mat):
@@ -213,30 +317,38 @@ def rref(m: Mat):
 
     Returns (R, pivots) where pivots is the tuple of pivot column indices.
     """
-    rows = [list(r) for r in m.data]
+    rows = list(m.rowmaps)
     nrows, ncols = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for k in range(r, nrows):
-            if not is_zero(rows[k][c]):
-                pr = k
-                break
+        pr = next((k for k in range(r, nrows)
+                   if c in rows[k] and not is_zero(rows[k][c])), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _reciprocal(rows[r][c])
-        rows[r] = [inv * v for v in rows[r]]
-        for k in range(nrows):
-            if k != r and not is_zero(rows[k][c]):
-                f = rows[k][c]
-                rows[k] = [v - f * w for v, w in zip(rows[k], rows[r])]
+        prow = rows[pr]
+        rows[pr] = rows[r]
+        inv = _reciprocal(prow[c])
+        prow = _nonzero({j: inv * v for j, v in prow.items()})
+        rows[r] = prow
+        for k, row in enumerate(rows):
+            f = row.get(c)
+            if k == r or f is None or is_zero(f):
+                continue
+            new = dict(row)
+            get = new.get
+            for j, w in prow.items():
+                x = get(j, 0) - f * w
+                if x:
+                    new[j] = _int_if_integral(x)
+                else:
+                    new.pop(j, None)
+            rows[k] = new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return Mat(nrows, ncols, rows), tuple(pivots)
+    return _make(nrows, ncols, tuple(rows)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -261,7 +373,7 @@ def split_idempotent(e: Mat) -> Splitting:
     red, pivots = rref(e)
     r = len(pivots)
     i = e.column_mat(list(pivots))
-    p = Mat(r, e.cols, red.data[:r])
+    p = _make(r, e.cols, red.rowmaps[:r])
     # rank factorization of an idempotent: i*p = e forces p*i = identity
     if not (mul(p, i) - Mat.identity(r)).is_zero_mat():
         raise NotIdempotent("rank factorization did not split")
@@ -274,15 +386,14 @@ def kernel_basis(m: Mat) -> Mat:
     """Columns form the echelon-derived null space basis (free variable = 1)."""
     red, pivots = rref(m)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    cols = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -red.data[r][f]
-        cols.append(v)
-    return Mat(m.cols, len(free), [[col[i] for col in cols] for i in range(m.cols)])
+    free = {f: t for t, f in enumerate(c for c in range(m.cols)
+                                        if c not in pivset)}
+    out = [{} for _ in range(m.cols)]
+    for f, t in free.items():
+        out[f][t] = 1
+    for r, c in enumerate(pivots):
+        out[c] = {free[j]: -v for j, v in red.rowmaps[r].items() if j in free}
+    return _make(m.cols, len(free), tuple(out))
 
 
 def cokernel_projection(m: Mat):
@@ -296,18 +407,21 @@ def cokernel_projection(m: Mat):
     return proj, proj.rows
 
 
+def _right_block(red: Mat, r: int, off: int):
+    """Row r of red restricted to columns >= off, shifted to start at 0."""
+    return {j - off: v for j, v in red.rowmaps[r].items() if j >= off}
+
+
 def invert(m: Mat) -> Mat:
     """Exact inverse via Gauss-Jordan; raises NotInvertible with the rank."""
     if m.rows != m.cols:
         raise NotInvertible(min(m.rows, m.cols), dims=(m.rows, m.cols))
     n = m.rows
-    aug = Mat(n, 2 * n, [list(row) + [1 if i == j else 0 for j in range(n)]
-                         for i, row in enumerate(m.data)])
-    red, pivots = rref(aug)
+    red, pivots = rref(_hstack(m, Mat.identity(n)))
     lead = [c for c in pivots if c < n]
     if len(lead) < n:
         raise NotInvertible(len(lead), dims=(n, n))
-    return Mat(n, n, [row[n:] for row in red.data])
+    return _make(n, n, tuple(_right_block(red, r, n) for r in range(n)))
 
 
 def solve(a: Mat, b: Mat):
@@ -317,16 +431,13 @@ def solve(a: Mat, b: Mat):
     """
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row counts differ")
-    aug = Mat(a.rows, a.cols + b.cols,
-              [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)])
-    red, pivots = rref(aug)
+    red, pivots = rref(_hstack(a, b))
     if any(c >= a.cols for c in pivots):
         return None
-    x = [[0] * b.cols for _ in range(a.cols)]
+    x = [{} for _ in range(a.cols)]
     for r, c in enumerate(pivots):
-        for j in range(b.cols):
-            x[c][j] = red.data[r][a.cols + j]
-    return Mat(a.cols, b.cols, x)
+        x[c] = _right_block(red, r, a.cols)
+    return _make(a.cols, b.cols, tuple(x))
 
 
 def section(m: Mat):
@@ -341,6 +452,4 @@ def same_column_span(a: Mat, b: Mat) -> bool:
     ra, rb = rank(a), rank(b)
     if ra != rb:
         return False
-    joined = Mat(a.rows, a.cols + b.cols,
-                 [list(x) + list(y) for x, y in zip(a.data, b.data)])
-    return rank(joined) == ra
+    return rank(_hstack(a, b)) == ra

@@ -75,24 +75,26 @@ def _invertibility(mat: Mat):
     return (mat.rows == mat.cols and r == mat.rows), r
 
 
-def build_tensor_over_base(bim: WeakBraidedBimonad, base: BaseObject,
-                           acts: ActionData):
-    """Coequaliser of (rho_r (x) id, id (x) rho_l); returns (l, t)."""
+def tensor_relations(bim: WeakBraidedBimonad, acts: ActionData) -> Mat:
+    """rho_r (x) id - id (x) rho_l; H (x)_{base} H is its cokernel."""
     one = bim.id1()
-    diff = tensor(acts.rho_r, one).mat - tensor(one, acts.rho_l).mat
-    proj, t = cokernel_projection(diff)
+    return tensor(acts.rho_r, one).mat - tensor(one, acts.rho_l).mat
+
+
+def build_tensor_over_base(bim: WeakBraidedBimonad, relations: Mat):
+    """Coequaliser of (rho_r (x) id, id (x) rho_l); returns (l, t)."""
+    proj, t = cokernel_projection(relations)
     return TensorMap((bim.n, bim.n), (t,), proj), t
 
 
-def build_gamma(bim: WeakBraidedBimonad, ent: EntwiningData, base: BaseObject,
-                acts: ActionData, l: TensorMap):
-    """gamma with gamma . l = pbar . sigma, plus the precomposition identity
-    pbar . delta = gamma . l . (id (x) e)."""
+def build_gamma(bim: WeakBraidedBimonad, ent: EntwiningData, l: TensorMap,
+                relations: Mat):
+    """gamma with gamma . l = pbar . sigma, plus the report entry of the
+    precomposition identity pbar . delta = gamma . l . (id (x) e)."""
     one = bim.id1()
     pbar = ent.pbar()
     pbar_sigma = compose([ent.sigma, pbar])
-    diff = tensor(acts.rho_r, one).mat - tensor(one, acts.rho_l).mat
-    if not exactmat.mul(pbar_sigma.mat, diff).is_zero_mat():
+    if not exactmat.mul(pbar_sigma.mat, relations).is_zero_mat():
         raise FactorizationFailed(
             "gamma: pbar.sigma does not annihilate the tensor relations "
             "(instance is not a weak braided bimonad)")
@@ -102,7 +104,7 @@ def build_gamma(bim: WeakBraidedBimonad, ent: EntwiningData, base: BaseObject,
                     compose([tensor(one, bim.e), l, gamma]))
     if not fund0.holds:
         raise InconsistencyError("gal.fund0: pbar.delta != gamma.l.(id (x) e)")
-    return gamma
+    return gamma, fund0
 
 
 def build_cotensor_and_gamma_prime(bim: WeakBraidedBimonad, ent: EntwiningData,
@@ -144,15 +146,14 @@ def build_galois(bim: WeakBraidedBimonad, ent: EntwiningData, base: BaseObject,
                  acts: ActionData) -> GaloisData:
     """Assemble the full Galois data with the module-structure identities."""
     one = bim.id1()
-    l, t = build_tensor_over_base(bim, base, acts)
-    gamma = build_gamma(bim, ent, base, acts, l)
+    relations = tensor_relations(bim, acts)
+    l, t = build_tensor_over_base(bim, relations)
+    gamma, fund0 = build_gamma(bim, ent, l, relations)
     can, gamma_prime, c = build_cotensor_and_gamma_prime(bim, ent, base, acts)
     q_tilde, zeta = build_q_tilde(bim, base, l)
 
     report = AxiomReport()
-    report.add(compare("gal.fund0",
-                       compose([bim.delta, ent.pbar()]),
-                       compose([tensor(one, bim.e), l, gamma])))
+    report.add(fund0)
     # right H-module structure on Gbar and gamma as a module morphism
     gbar_act = compose([tensor(ent.ibar(), one), lift(bim.m, 1, 0), ent.pbar()])
     idg = identity_map((ent.gbar_dim,))

@@ -84,23 +84,24 @@ def construct_antipode_from_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
     return antipode
 
 
-def _vec(mat: Mat) -> list:
-    return [v for row in mat.data for v in row]
+def _vec(mat: Mat) -> dict:
+    """{row-major index: value} of the nonzero entries."""
+    return {i * mat.cols + j: v for i, j, v in mat.items()}
 
 
 def _conv_operator(bim: WeakBraidedBimonad, side: str) -> Mat:
     """Matrix of s -> vec(1*s) or s -> vec(s*1) acting on vec(s), row-major."""
     n = bim.n
     one = bim.id1()
-    cols = []
+    entries = {}
     for p in range(n):
         for q in range(n):
             basis = hmap(n, 1, 1, Mat.from_entries(n, n, {(p, q): 1}))
             image = bim.convolve(one, basis) if side == "left" \
                 else bim.convolve(basis, one)
-            cols.append(_vec(image.mat))
-    return Mat(n * n, n * n,
-               [[cols[j][i] for j in range(n * n)] for i in range(n * n)])
+            for i, v in _vec(image.mat).items():
+                entries[(i, p * n + q)] = v
+    return Mat.from_entries(n * n, n * n, entries)
 
 
 def solve_antipode_linear(bim: WeakBraidedBimonad,
@@ -115,8 +116,14 @@ def solve_antipode_linear(bim: WeakBraidedBimonad,
     n = bim.n
     op_left = _conv_operator(bim, "left")
     op_right = _conv_operator(bim, "right")
-    stacked = Mat(2 * n * n, n * n, list(op_left.data) + list(op_right.data))
-    rhs = Mat.column(_vec(ent.xi.mat) + _vec(ent.xibar.mat))
+    stacked = Mat.from_entries(2 * n * n, n * n, {
+        (i + off, j): v
+        for off, op in ((0, op_left), (n * n, op_right))
+        for i, j, v in op.items()})
+    rhs = Mat.from_entries(2 * n * n, 1, {
+        (i + off, 0): v
+        for off, mat in ((0, ent.xi.mat), (n * n, ent.xibar.mat))
+        for i, v in _vec(mat).items()})
     particular = solve(stacked, rhs)
     if particular is None:
         return LinearSolveResult(status="no_solution", antipode=None)
@@ -125,11 +132,10 @@ def solve_antipode_linear(bim: WeakBraidedBimonad,
     def unvec(col):
         return hmap(n, 1, 1, Mat(n, n, [col[i * n:(i + 1) * n] for i in range(n)]))
 
-    candidates = [[particular.data[i][0] for i in range(n * n)]]
+    base = [particular[i, 0] for i in range(n * n)]
+    candidates = [base]
     for j in range(homogeneous.cols):
-        candidates.append([
-            particular.data[i][0] + homogeneous.data[i][j] for i in range(n * n)
-        ])
+        candidates.append([v + homogeneous[i, j] for i, v in enumerate(base)])
     one = bim.id1()
     for col in candidates:
         s_map = unvec(col)

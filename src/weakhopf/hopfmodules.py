@@ -27,6 +27,7 @@ from .errors import (
     RoundTripFailed,
 )
 from .exactmat import kernel_basis, same_column_span, split_idempotent
+from .galois import _factor_through_surjection
 from .hopf import Antipode
 from .tensorexpr import TensorMap, compose, identity_map, tensor
 
@@ -339,20 +340,11 @@ def induce_from_base(bim: WeakBraidedBimonad, base: BaseObject,
     diff = tensor(rho_r, idn).mat - tensor(one, nb.g).mat
     proj, t = exactmat.cokernel_projection(diff)
     l_n = TensorMap((bim.n, nb.dim), (t,), proj)
-    sec = exactmat.section(l_n.mat)
-    if sec is None:
-        raise FactorizationFailed("induced module: projection not surjective")
-
-    def factor(target, proj_map, what):
-        s = exactmat.section(proj_map.mat)
-        g = TensorMap(proj_map.cod, target.cod, exactmat.mul(target.mat, s))
-        if not (exactmat.mul(g.mat, proj_map.mat) - target.mat).is_zero_mat():
-            raise FactorizationFailed(f"induced module: {what} does not factor")
-        return g
-
-    h_q = factor(compose([tensor(bim.m, idn), l_n]), tensor(one, l_n), "action")
-    theta_q = factor(compose([tensor(bim.delta, idn), tensor(one, l_n)]), l_n,
-                     "coaction")
+    h_q = _factor_through_surjection(compose([tensor(bim.m, idn), l_n]),
+                                     tensor(one, l_n), "induced module action")
+    theta_q = _factor_through_surjection(
+        compose([tensor(bim.delta, idn), tensor(one, l_n)]), l_n,
+        "induced module coaction")
     induced = MixedBimodule(dim=t, h=h_q, theta=theta_q,
                             name=f"induced({nb.dim})")
     return induced, l_n
@@ -391,17 +383,14 @@ def fundamental_roundtrip(bim: WeakBraidedBimonad, ent: EntwiningData,
     induced, l_n = induce_from_base(bim, base, nb)
     report.extend(check_mixed_bimodule(bim, ent, induced))
 
-    # comparison map: factor h . (id (x) inclusion) through the quotient
+    # comparison map: factor h . (id (x) inclusion) through the quotient;
+    # l_n is the cokernel of the relations of N, so it factors exactly when
+    # it respects them
     phi = compose([tensor(one, coin.inclusion), mod.h])
-    diff = tensor(compose([tensor(one, base.iota), bim.m]), idn).mat \
-        - tensor(one, nb.g).mat
-    if not exactmat.mul(phi.mat, diff).is_zero_mat():
-        raise RoundTripFailed("comparison map does not respect the relations",
-                              rank_defect=-1)
-    sec = exactmat.section(l_n.mat)
-    comp = TensorMap((induced.dim,), (mod.dim,), exactmat.mul(phi.mat, sec))
-    if not (exactmat.mul(comp.mat, l_n.mat) - phi.mat).is_zero_mat():
-        raise RoundTripFailed("comparison map does not factor", rank_defect=-1)
+    try:
+        comp = _factor_through_surjection(phi, l_n, "comparison map")
+    except FactorizationFailed as exc:
+        raise RoundTripFailed(str(exc), rank_defect=-1) from None
     comp_rank = exactmat.rank(comp.mat)
     bijective = induced.dim == mod.dim and comp_rank == mod.dim
     report.add(AxiomEntry("rt.comparison-bijective", bijective,

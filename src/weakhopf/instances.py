@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .bimonad import Algebra, Coalgebra, WeakBraidedBimonad, WeakYBPair
@@ -58,6 +59,13 @@ class GroupoidSpec:
                 raise InvalidSpec(f"arrow ({s}, {t}) out of range")
             parent[find(s)] = find(t)
         return [find(x) for x in range(self.objects)]
+
+    def dim(self):
+        """Number of arrows, without listing them."""
+        sizes = {}
+        for root in self.components():
+            sizes[root] = sizes.get(root, 0) + 1
+        return sum(k * k for k in sizes.values())
 
     def arrow_basis(self):
         """All composable arrows: ordered object pairs in a common component."""
@@ -217,14 +225,23 @@ BUILTINS = {"g2": g2, "k2": k2, "z2": z2, "sl": sl, "nz": nz}
 _EXPECTED_KEYS = {"base_dim", "tensor_dim", "gamma_rank"}
 
 
-def _parse_rat(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+@lru_cache(maxsize=4096)
+def _rational(value):
+    # instance files repeat a few literals; a Fraction is immutable, so one
+    # parsed value can be shared by every entry that spells it
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _parse_rat(value, key, pos):
+    if value.__class__ is not str and value.__class__ is not int:
         raise SchemaError("rational literals must be strings like \"p/q\" or ints",
-                          where)
+                          f"{key}[{pos}]")
     try:
-        return Fraction(value)
+        return _rational(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational literal {value!r}: {exc}", where) from None
+        raise SchemaError(f"bad rational literal {value!r}: {exc}",
+                          f"{key}[{pos}]") from None
 
 
 def _read_table(doc, key, index_count, dims, required=True):
@@ -237,20 +254,19 @@ def _read_table(doc, key, index_count, dims, required=True):
     if not isinstance(table, list):
         raise SchemaError(f"field {key!r} must be a list of entries", key)
     for pos, item in enumerate(table):
-        where = f"{key}[{pos}]"
         if not isinstance(item, list) or len(item) != index_count + 1:
             raise SchemaError(
                 f"entry must be a list of {index_count} indices and a coefficient",
-                where)
-        idx = item[:index_count]
-        for axis, (i, d) in enumerate(zip(idx, dims)):
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < d:
+                f"{key}[{pos}]")
+        key_t = tuple(item[:index_count])
+        for i, d in zip(key_t, dims):
+            # JSON indices are exact ints; this also rejects true/false
+            if i.__class__ is not int or not 0 <= i < d:
                 raise IndexOutOfRange(
-                    f"index {i!r} out of range for dimension {d}", where)
-        key_t = tuple(idx)
+                    f"index {i!r} out of range for dimension {d}", f"{key}[{pos}]")
         if key_t in entries:
-            raise SchemaError(f"duplicate index tuple {key_t}", where)
-        entries[key_t] = _parse_rat(item[index_count], where)
+            raise SchemaError(f"duplicate index tuple {key_t}", f"{key}[{pos}]")
+        entries[key_t] = _parse_rat(item[index_count], key, pos)
     return entries
 
 
@@ -264,15 +280,8 @@ def _split_index(flat, n, arity):
 
 def _table_from_map(f: TensorMap, in_arity, out_arity, n):
     """Sparse [domain indices..., codomain indices..., coeff-string] rows."""
-    rows = []
-    mat = f.mat
-    for row in range(mat.rows):
-        for col in range(mat.cols):
-            v = mat.data[row][col]
-            if v == 0:
-                continue
-            rows.append(_split_index(col, n, in_arity)
-                        + _split_index(row, n, out_arity) + [str(Fraction(v))])
+    rows = [_split_index(col, n, in_arity) + _split_index(row, n, out_arity)
+            + [str(Fraction(v))] for row, col, v in f.mat.items()]
     rows.sort(key=lambda row: row[:-1])
     return rows
 
@@ -280,18 +289,13 @@ def _table_from_map(f: TensorMap, in_arity, out_arity, n):
 def _detect_graded_flip(tau: TensorMap, n):
     """The 0/1 grading reproducing tau as a graded flip, or None."""
     signs = {}
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            expect_row = j * n + i
-            for row in range(n * n):
-                v = tau.mat.data[row][col]
-                if row == expect_row:
-                    if v not in (1, -1):
-                        return None
-                    signs[(i, j)] = v
-                elif v != 0:
-                    return None
+    for row, col, v in tau.mat.items():
+        i, j = divmod(col, n)
+        if row != j * n + i or v not in (1, -1):
+            return None
+        signs[(i, j)] = v
+    if len(signs) != n * n:
+        return None
     grading = tuple(1 if signs[(i, i)] == -1 else 0 for i in range(n))
     for i in range(n):
         for j in range(n):
@@ -339,16 +343,30 @@ def to_json_text(bim: WeakBraidedBimonad, expected=None) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def load(path) -> WeakBraidedBimonad:
-    """Load and validate an instance file; exact round trip with save."""
+def check_max_dim(n: int, max_dim) -> None:
+    """Refuse a carrier dimension above the --max-dim guard (None: no guard)."""
+    if max_dim is not None and n > max_dim:
+        raise SchemaError(
+            f"dim {n} exceeds --max-dim {max_dim}; raise the guard "
+            "explicitly for large instances", "dim")
+
+
+def _read_json(path):
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", str(path)) from None
-    return from_doc(doc)
 
 
-def from_doc(doc) -> WeakBraidedBimonad:
+def load(path, max_dim=None) -> WeakBraidedBimonad:
+    """Load and validate an instance file; exact round trip with save.
+
+    A declared dim above ``max_dim`` is refused before any map is built.
+    """
+    return from_doc(_read_json(path), max_dim=max_dim)
+
+
+def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object", "root")
     name = doc.get("name", "")
@@ -357,6 +375,7 @@ def from_doc(doc) -> WeakBraidedBimonad:
     n = doc.get("dim")
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise SchemaError("dim must be a positive integer", "dim")
+    check_max_dim(n, max_dim)
 
     m_tab = _read_table(doc, "m", 3, (n, n, n))
     e_tab = _read_table(doc, "e", 1, (n,))
@@ -416,10 +435,7 @@ def load_module(path, bim: WeakBraidedBimonad):
     """Load a companion module file: carrier dim plus sparse h and theta tables."""
     from .hopfmodules import MixedBimodule
 
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", str(path)) from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError("module document must be a JSON object", "root")
     d = doc.get("dim")
@@ -440,19 +456,11 @@ def load_module(path, bim: WeakBraidedBimonad):
 
 
 def save_module(mod, bim: WeakBraidedBimonad, path) -> str:
-    n, d = bim.n, mod.dim
-    h_rows = []
-    for k in range(d):
-        for col in range(n * d):
-            v = mod.h.mat.data[k][col]
-            if v != 0:
-                h_rows.append([col // d, col % d, k, str(Fraction(v))])
-    th_rows = []
-    for row in range(n * d):
-        for k in range(d):
-            v = mod.theta.mat.data[row][k]
-            if v != 0:
-                th_rows.append([row // d, row % d, k, str(Fraction(v))])
+    d = mod.dim
+    h_rows = [[col // d, col % d, k, str(Fraction(v))]
+              for k, col, v in mod.h.mat.items()]
+    th_rows = [[row // d, row % d, k, str(Fraction(v))]
+               for row, k, v in mod.theta.mat.items()]
     h_rows.sort(key=lambda r: r[:-1])
     th_rows.sort(key=lambda r: r[:-1])
     doc = {"name": mod.name or "module", "dim": d, "h": h_rows, "theta": th_rows}

@@ -120,38 +120,32 @@ def compose(chain) -> TensorMap:
 
 
 def lift(f: TensorMap, left: int, right: int) -> TensorMap:
-    """Whisker with identities: id^left (x) f (x) id^right."""
+    """Whisker with identities: id^left (x) f (x) id^right.
+
+    Built from the nonzeros of f, never through a Kronecker product with an
+    identity matrix.
+    """
     if left == 0 and right == 0:
         return f
     n = f.base_dim()
     if n is None:
         raise ArityMismatch("cannot infer carrier dimension for a scalar map")
-    parts = []
-    if left:
-        parts.append(identity_map((n,) * left))
-    parts.append(f)
-    if right:
-        parts.append(identity_map((n,) * right))
-    return tensor(*parts)
+    ids_l, ids_r = (n,) * left, (n,) * right
+    return TensorMap(ids_l + f.dom + ids_r, ids_l + f.cod + ids_r,
+                     exactmat.whisker(f.mat, n ** left, n ** right))
 
 
 def flip_map(n) -> TensorMap:
     """The twist v (x) w -> w (x) v on H (x) H."""
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            entries[(j * n + i, i * n + j)] = 1
-    return hmap(n, 2, 2, Mat.from_entries(n * n, n * n, entries))
+    return graded_flip_map((0,) * n)
 
 
 def graded_flip_map(grading) -> TensorMap:
     """Twist with Koszul sign (-1)^(|i||j|) for a 0/1 grading vector."""
     n = len(grading)
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            sign = -1 if grading[i] and grading[j] else 1
-            entries[(j * n + i, i * n + j)] = sign
+    # the twist sends b_i (x) b_j, column i*n + j, to b_j (x) b_i, row j*n + i
+    entries = {(j * n + i, i * n + j): -1 if grading[i] and grading[j] else 1
+               for i in range(n) for j in range(n)}
     return hmap(n, 2, 2, Mat.from_entries(n * n, n * n, entries))
 
 

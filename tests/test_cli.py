@@ -193,3 +193,20 @@ def test_structured_reports_are_deterministic(g2_file, nz_file, tmp_path,
             blob.append(out_file.read_bytes())
         snapshots.append(blob)
     assert snapshots[0] == snapshots[1]
+
+
+def test_max_dim_refuses_declared_dim_before_building(tmp_path, capsys):
+    big = tmp_path / "big.instance"
+    big.write_text(json.dumps({"name": "big", "dim": 50, "tau": "flip"}))
+    assert cli.main(["check", str(big)]) == 2
+    assert "--max-dim" in capsys.readouterr().err
+
+
+def test_gen_max_dim_refuses_requested_size(tmp_path, capsys):
+    out_file = tmp_path / "z50.instance"
+    assert cli.main(["gen", "group", "--cyclic", "50",
+                     "--out", str(out_file)]) == 2
+    assert "--max-dim" in capsys.readouterr().err
+    assert not out_file.exists()
+    assert cli.main(["gen", "groupoid", "--objects", "4", "--full",
+                     "--out", str(out_file)]) == 2

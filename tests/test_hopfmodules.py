@@ -1,9 +1,9 @@
 import pytest
 
-from weakhopf import hopf
+from weakhopf import galois, hopf
 from weakhopf import hopfmodules as hm
 from weakhopf import instances as inst
-from weakhopf.errors import PrerequisiteAxiomFailed
+from weakhopf.errors import FactorizationFailed, PrerequisiteAxiomFailed
 from weakhopf.exactmat import Mat, same_column_span
 from weakhopf.tensorexpr import TensorMap
 
@@ -163,3 +163,13 @@ def test_shipped_module_file_round_trips(g2, tmp_path):
     assert hm.check_mixed_bimodule(g2.bim, g2.ent, module).passed
     out = tmp_path / "roundtrip.module"
     assert inst.save_module(module, g2.bim, out) == text
+
+
+def test_non_surjective_projection_fails_factorization():
+    # the induced-module factorizations use the one galois helper, whose
+    # section check turns a non-surjective projection into a checked failure
+    assert hm._factor_through_surjection is galois._factor_through_surjection
+    proj = TensorMap((2,), (2,), Mat.from_rows([[1, 0], [0, 0]]))
+    target = TensorMap((2,), (1,), Mat.from_rows([[1, 0]]))
+    with pytest.raises(FactorizationFailed, match="not surjective"):
+        hm._factor_through_surjection(target, proj, "test")
