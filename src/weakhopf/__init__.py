@@ -13,7 +13,6 @@ from .bimonad import (
     check_instance,
     check_weak_braided_bimonad,
     check_weak_yb,
-    convolution_product,
 )
 from .baseobject import (
     ActionData,
@@ -64,6 +63,7 @@ from .instances import (
     save,
     super_line,
 )
+from .pipeline import Pipeline
 from .tensorexpr import TensorMap, compose, lift, parse_expr, tensor
 
 __version__ = "0.1.0"

@@ -60,11 +60,6 @@ class AxiomReport:
     def to_jsonable(self):
         return [e.to_jsonable() for e in self.entries]
 
-    def require(self):
-        failed = self.failed_ids()
-        if failed:
-            raise PrerequisiteAxiomFailed(failed)
-
 
 def first_difference(a, b):
     """First (row, col) where the matrices differ, or None."""
@@ -183,10 +178,6 @@ class WeakBraidedBimonad:
     def conv_unit(self) -> TensorMap:
         """e . eps, the identity of the convolution monoid."""
         return compose([self.eps, self.e])
-
-
-def convolution_product(f: TensorMap, g: TensorMap, bim: WeakBraidedBimonad) -> TensorMap:
-    return bim.convolve(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ the acceptance suite runs exact mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import baseobject, bimonad, entwining, exactmat, galois, hopf, hopfmodules
+from . import baseobject, bimonad, entwining, exactmat, hopf, hopfmodules
 from . import instances as inst
 from .bimonad import WeakBraidedBimonad
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
     SchemaError,
     WeakHopfError,
 )
+from .pipeline import Pipeline
 from .tensorexpr import TensorMap, parse_expr
 
 
@@ -52,11 +54,24 @@ def _to_float(bim: WeakBraidedBimonad) -> WeakBraidedBimonad:
     )
 
 
-def _load_instance(args) -> WeakBraidedBimonad:
+def _load_pipeline(args) -> Pipeline:
     bim = inst.load(args.path, max_dim=args.max_dim)
-    if args.float:
-        bim = _to_float(bim)
-    return bim
+    return Pipeline(_to_float(bim) if args.float else bim)
+
+
+def _gated(cmd):
+    """Run cmd(args, pipeline) on an instance that passes its axioms; on
+    one that fails them, name the failures and exit 1."""
+    @functools.wraps(cmd)
+    def run(args):
+        pipe = _load_pipeline(args)
+        try:
+            pipe.require()
+        except PrerequisiteAxiomFailed as exc:
+            sys.stdout.write(f"prerequisite axioms failed: {exc}\n")
+            return 1
+        return cmd(args, pipe)
+    return run
 
 
 def _sections_jsonable(sections):
@@ -94,17 +109,18 @@ def _emit(doc, args) -> None:
             json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _axiom_sections(bim):
-    sections = dict(bimonad.check_instance(bim))
-    ent = entwining.build_entwining(bim, require=False)
-    sections["entwining"] = entwining.check_weak_entwining(ent, bim)
-    sections["derived"] = entwining.check_derived_identities(ent, bim)
-    return sections, ent
+def _expected_block(pipe: Pipeline) -> dict:
+    """The values an instance file pins in its ``expected`` block."""
+    return {"base_dim": pipe.base.r, "tensor_dim": pipe.galois.tensor_dim,
+            "gamma_rank": pipe.galois.gamma_rank}
 
 
 def cmd_check(args) -> int:
-    bim = _load_instance(args)
-    sections, ent = _axiom_sections(bim)
+    pipe = _load_pipeline(args)
+    bim, ent = pipe.bim, pipe.entwining_maps
+    sections = dict(pipe.axioms)
+    sections["entwining"] = entwining.check_weak_entwining(ent, bim)
+    sections["derived"] = entwining.check_derived_identities(ent, bim)
     axioms_pass = all(r.passed for r in sections.values())
     doc = {
         "command": "check",
@@ -115,11 +131,7 @@ def cmd_check(args) -> int:
     }
     ok = axioms_pass
     if axioms_pass and bim.expected:
-        base = baseobject.build_base(bim, ent)
-        acts = baseobject.build_actions(bim, base)
-        gal_data = galois.build_galois(bim, ent, base, acts)
-        got = {"base_dim": base.r, "tensor_dim": gal_data.tensor_dim,
-               "gamma_rank": gal_data.gamma_rank}
+        got = _expected_block(pipe)
         expected_report = bimonad.AxiomReport()
         for key, want in sorted(bim.expected.items()):
             expected_report.add(bimonad.AxiomEntry(
@@ -132,16 +144,9 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_derive(args) -> int:
-    bim = _load_instance(args)
-    try:
-        bimonad.require_instance(bim)
-    except PrerequisiteAxiomFailed as exc:
-        sys.stdout.write(f"prerequisite axioms failed: {exc}\n")
-        return 1
-    ent = entwining.build_entwining(bim)
-    base = baseobject.build_base(bim, ent)
-    acts = baseobject.build_actions(bim, base)
+@_gated
+def cmd_derive(args, pipe: Pipeline) -> int:
+    bim, ent, base, acts = pipe.bim, pipe.entwining, pipe.base, pipe.actions
     sections = {
         "frobenius": baseobject.check_frobenius_separable(base),
         "actions": acts.report,
@@ -171,22 +176,14 @@ def _sparse_endo_rows(f: TensorMap):
     return rows
 
 
-def cmd_antipode(args) -> int:
-    bim = _load_instance(args)
-    try:
-        bimonad.require_instance(bim)
-    except PrerequisiteAxiomFailed as exc:
-        sys.stdout.write(f"prerequisite axioms failed: {exc}\n")
-        return 1
-    ent = entwining.build_entwining(bim)
-    base = baseobject.build_base(bim, ent)
-    acts = baseobject.build_actions(bim, base)
-    gal_data = galois.build_galois(bim, ent, base, acts)
-    linear = hopf.solve_antipode_linear(bim, ent)
+@_gated
+def cmd_antipode(args, pipe: Pipeline) -> int:
+    bim, ent = pipe.bim, pipe.entwining
+    gal_data, linear = pipe.galois, pipe.linear
     doc = {
         "command": "antipode",
         "instance": bim.name,
-        "dims": {"n": bim.n, "r": base.r},
+        "dims": {"n": bim.n, "r": pipe.base.r},
         "sections": {},
         "verdicts": {
             "gamma_invertible": gal_data.gamma_invertible,
@@ -195,7 +192,7 @@ def cmd_antipode(args) -> int:
         "notes": [],
     }
     if gal_data.gamma_invertible:
-        antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal_data)
+        antipode = pipe.antipode
         doc["sections"]["antipode"] = \
             hopf.check_antipode(bim, ent, antipode.map).to_jsonable()
         doc["antipode"] = {"origin": antipode.origin,
@@ -217,17 +214,9 @@ def cmd_antipode(args) -> int:
     return 1
 
 
-def cmd_galois(args) -> int:
-    bim = _load_instance(args)
-    try:
-        bimonad.require_instance(bim)
-    except PrerequisiteAxiomFailed as exc:
-        sys.stdout.write(f"prerequisite axioms failed: {exc}\n")
-        return 1
-    ent = entwining.build_entwining(bim)
-    base = baseobject.build_base(bim, ent)
-    acts = baseobject.build_actions(bim, base)
-    gal_data = galois.build_galois(bim, ent, base, acts)
+@_gated
+def cmd_galois(args, pipe: Pipeline) -> int:
+    bim, base, gal_data = pipe.bim, pipe.base, pipe.galois
     gm, gp = gal_data.gamma.mat, gal_data.gamma_prime.mat
     doc = {
         "command": "galois",
@@ -250,18 +239,11 @@ def cmd_galois(args) -> int:
     return 0 if gal_data.gamma_invertible and gal_data.gamma_prime_invertible else 1
 
 
-def cmd_hopfmod(args) -> int:
-    bim = _load_instance(args)
-    try:
-        bimonad.require_instance(bim)
-    except PrerequisiteAxiomFailed as exc:
-        sys.stdout.write(f"prerequisite axioms failed: {exc}\n")
-        return 1
+@_gated
+def cmd_hopfmod(args, pipe: Pipeline) -> int:
+    bim = pipe.bim
     module = inst.load_module(args.modulepath, bim)
-    ent = entwining.build_entwining(bim)
-    base = baseobject.build_base(bim, ent)
-    acts = baseobject.build_actions(bim, base)
-    gal_data = galois.build_galois(bim, ent, base, acts)
+    ent, base, gal_data = pipe.entwining, pipe.base, pipe.galois
     sections = {"module": hopfmodules.check_mixed_bimodule(bim, ent, module)}
     doc = {
         "command": "hopfmod",
@@ -277,33 +259,30 @@ def cmd_hopfmod(args) -> int:
         doc["sections"] = _sections_jsonable(sections)
         _emit(doc, args)
         return 1
-    if not gal_data.gamma_invertible:
+    antipode = pipe.antipode if gal_data.gamma_invertible else None
+    doc["dims"]["coinvariants"] = \
+        hopfmodules.coinvariants(bim, ent, antipode, module).dim
+    ok = antipode is not None
+    if ok:
+        sections["roundtrip"] = pipe.roundtrip(module)
+        ok = doc["verdicts"]["roundtrip_pass"] = sections["roundtrip"].passed
+    else:
         doc["notes"].append("instance is not a weak Hopf monad; "
                             "coinvariants computed without a splitting")
-        coin = hopfmodules.coinvariants(bim, ent, None, module)
-        doc["dims"]["coinvariants"] = coin.dim
-        doc["sections"] = _sections_jsonable(sections)
-        _emit(doc, args)
-        return 1
-    antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal_data)
-    coin = hopfmodules.coinvariants(bim, ent, antipode, module)
-    rt = hopfmodules.fundamental_roundtrip(bim, ent, base, antipode, module)
-    sections["roundtrip"] = rt
-    doc["dims"]["coinvariants"] = coin.dim
     doc["sections"] = _sections_jsonable(sections)
-    doc["verdicts"]["roundtrip_pass"] = rt.passed
     _emit(doc, args)
-    return 0 if rt.passed else 1
+    return 0 if ok else 1
 
 
 def cmd_eval(args) -> int:
-    bim = _load_instance(args)
+    pipe = _load_pipeline(args)
+    bim = pipe.bim
     env = {
         "m": bim.m, "e": bim.e, "delta": bim.delta, "eps": bim.eps,
         "tau": bim.tau, "tau_prime": bim.tau_prime, "nabla": bim.nabla,
     }
-    if bimonad.instance_passes(bim):
-        ent = entwining.build_entwining(bim)
+    if not pipe.failed_axioms:
+        ent = pipe.entwining
         env.update({
             "omega": ent.omega, "omegabar": ent.omegabar,
             "sigma": ent.sigma, "sigmabar": ent.sigmabar,
@@ -386,21 +365,17 @@ def cmd_gen(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidSpec(f"unknown kind {args.kind}")
 
-    expected = None
-    if bimonad.instance_passes(bim):
-        ent = entwining.build_entwining(bim)
-        base = baseobject.build_base(bim, ent)
-        acts = baseobject.build_actions(bim, base)
-        gal_data = galois.build_galois(bim, ent, base, acts)
-        expected = {"base_dim": base.r, "tensor_dim": gal_data.tensor_dim,
-                    "gamma_rank": gal_data.gamma_rank}
+    pipe = Pipeline(bim)
+    expected = None if pipe.failed_axioms else _expected_block(pipe)
     text = inst.to_json_text(bim, expected=expected)
     Path(args.outfile).write_text(text, encoding="utf-8")
     sys.stdout.write(f"wrote {args.outfile} ({bim.name}, dim {bim.n})\n")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="weakhopf",
         description="exact verification of weak braided bimonads and "
@@ -418,34 +393,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common],
                        help="run all axiom and identity checks")
     p.add_argument("path")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("derive", parents=[common],
                        help="base object, Frobenius data, pi-splitting")
     p.add_argument("path")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("antipode", parents=[common],
                        help="construct or refute a weak antipode")
     p.add_argument("path")
-    p.set_defaults(func=cmd_antipode)
 
     p = sub.add_parser("galois", parents=[common],
                        help="Galois maps and invertibility verdicts")
     p.add_argument("path")
-    p.set_defaults(func=cmd_galois)
 
     p = sub.add_parser("hopfmod", parents=[common],
                        help="check a module file and run the round trip")
     p.add_argument("path")
     p.add_argument("modulepath")
-    p.set_defaults(func=cmd_hopfmod)
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate an expression over the instance maps")
     p.add_argument("path")
     p.add_argument("expr")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gen", help="generate an instance file")
     p.add_argument("kind",
@@ -459,20 +428,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name")
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--max-dim", type=int, default=12)
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not stored in the parser that outlives this call
+    command = globals()[f"cmd_{args.command}"]
     start = time.perf_counter()
     try:
         if getattr(args, "float", False):
             with exactmat.tolerance(args.tol):
-                code = args.func(args)
+                code = command(args)
         else:
-            code = args.func(args)
+            code = command(args)
     except (SchemaError, InvalidSpec, ExprSyntaxError, ArityMismatch,
             DimensionMismatch) as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -26,13 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bimonad import (
-    AxiomReport,
-    WeakBraidedBimonad,
-    compare,
-    compare_all,
-    require_instance,
-)
+from .bimonad import AxiomReport, WeakBraidedBimonad, compare, compare_all
+# bound here for bench/test_bench.py, which traces names imported by name
+from .bimonad import require_instance  # noqa: F401
 from .errors import NotIdempotent
 from .exactmat import Splitting, split_idempotent
 from .tensorexpr import TensorMap, compose, identity_map, lift, tensor
@@ -78,16 +74,15 @@ class EntwiningData:
         return TensorMap((self.tbar_dim,), (n, n), self.kappa_prime_split.i)
 
 
-def build_entwining(bim: WeakBraidedBimonad, require: bool = True) -> EntwiningData:
-    """Construct all entwining maps; kappa and kappa_prime are verified
-    idempotent and split.
+def build_entwining(bim: WeakBraidedBimonad) -> EntwiningData:
+    """Construct all entwining maps and split kappa and kappa_prime.
 
-    ``require=False`` skips the axiom gate and tolerates non-idempotent
-    kappa maps (their splittings are then None); this exists so broken
-    instances can still be diagnosed through the identity suite.
+    No axiom is checked here, so that a broken instance can still be
+    diagnosed through the identity suite; a kappa map that is not idempotent
+    gets the splitting None.  ``Pipeline(bim).entwining`` is the gated form:
+    it refuses an instance whose axioms fail and raises NotIdempotent for a
+    missing splitting.
     """
-    if require:
-        require_instance(bim)
     m, e, delta, eps, tau = bim.m, bim.e, bim.delta, bim.eps, bim.tau
     one = bim.id1()
     id2 = identity_map((bim.n, bim.n))
@@ -107,8 +102,6 @@ def build_entwining(bim: WeakBraidedBimonad, require: bool = True) -> EntwiningD
         try:
             return split_idempotent(f.mat)
         except NotIdempotent:
-            if require:
-                raise
             return None
 
     return EntwiningData(

@@ -22,6 +22,7 @@ comparisons and pivot choices test them with :func:`is_zero`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -441,8 +442,21 @@ def solve(a: Mat, b: Mat):
 
 
 def section(m: Mat):
-    """Right inverse s with m*s = identity, or None if m is not surjective."""
-    return solve(m, Mat.identity(m.rows))
+    """Right inverse s with m*s = identity, or None if m is not surjective.
+
+    If every row t of m has a unit column e_t, as cokernel projections do at
+    their free indices, s is the 0/1 inclusion of the first such columns;
+    otherwise s comes from :func:`solve`.
+    """
+    count = Counter(j for row in m.rowmaps for j in row)
+    unit = [min((j for j, v in row.items() if v == 1 and count[j] == 1),
+                default=None) for row in m.rowmaps]
+    if None in unit:
+        return solve(m, Mat.identity(m.rows))
+    out = [{} for _ in range(m.cols)]
+    for t, j in enumerate(unit):
+        out[j] = {t: 1}
+    return _make(m.cols, m.rows, tuple(out))
 
 
 def same_column_span(a: Mat, b: Mat) -> bool:

@@ -12,13 +12,7 @@ from typing import Optional
 
 from . import exactmat
 from .baseobject import BaseObject
-from .bimonad import (
-    AxiomEntry,
-    AxiomReport,
-    WeakBraidedBimonad,
-    compare,
-    require_instance,
-)
+from .bimonad import AxiomEntry, AxiomReport, WeakBraidedBimonad, compare
 from .entwining import EntwiningData
 from .errors import (
     FactorizationFailed,
@@ -126,12 +120,9 @@ def check_mixed_bimodule(bim: WeakBraidedBimonad, ent: EntwiningData,
     return report
 
 
-def K_omega(bim: WeakBraidedBimonad, d: int,
-            require: bool = True) -> MixedBimodule:
+def K_omega(bim: WeakBraidedBimonad, d: int) -> MixedBimodule:
     """The canonical mixed bimodule (H (x) V, m (x) id, delta (x) id) on a
     d-dimensional carrier V."""
-    if require:
-        require_instance(bim)
     n = bim.n
     idd = identity_map((d,))
     h = TensorMap((n, n * d), (n * d,), tensor(bim.m, idd).mat)

@@ -1,59 +1,20 @@
-from dataclasses import dataclass
-
 import pytest
 
-from weakhopf import baseobject, entwining, galois
 from weakhopf import instances as inst
+from weakhopf.pipeline import Pipeline
+
+NAMES = ("g2", "k2", "z2", "sl", "nz")
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    bim: object
-    ent: object
-    base: object
-    acts: object
-    gal: object
-
-
-_CACHE = {}
-
-
-def pipeline(name: str) -> Pipeline:
-    if name not in _CACHE:
-        bim = inst.BUILTINS[name]()
-        ent = entwining.build_entwining(bim)
-        base = baseobject.build_base(bim, ent)
-        acts = baseobject.build_actions(bim, base)
-        gal_data = galois.build_galois(bim, ent, base, acts)
-        _CACHE[name] = Pipeline(bim, ent, base, acts, gal_data)
-    return _CACHE[name]
-
-
-@pytest.fixture(scope="session", params=["g2", "k2", "z2", "sl", "nz"])
+@pytest.fixture(scope="session", params=NAMES)
 def any_pipeline(request):
-    return pipeline(request.param)
+    return Pipeline(inst.BUILTINS[request.param]())
 
 
-@pytest.fixture(scope="session")
-def g2():
-    return pipeline("g2")
+def _builtin(name):
+    """A session fixture, named after the built-in, holding its Pipeline."""
+    return pytest.fixture(scope="session", name=name)(
+        lambda: Pipeline(inst.BUILTINS[name]()))
 
 
-@pytest.fixture(scope="session")
-def k2():
-    return pipeline("k2")
-
-
-@pytest.fixture(scope="session")
-def z2():
-    return pipeline("z2")
-
-
-@pytest.fixture(scope="session")
-def sl():
-    return pipeline("sl")
-
-
-@pytest.fixture(scope="session")
-def nz():
-    return pipeline("nz")
+g2, k2, z2, sl, nz = map(_builtin, NAMES)

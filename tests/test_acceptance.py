@@ -20,6 +20,7 @@ from weakhopf import instances as inst
 from weakhopf.bimonad import Algebra, Coalgebra, WeakYBPair
 from weakhopf.errors import GaloisNotInvertible
 from weakhopf.exactmat import Mat, same_column_span
+from weakhopf.pipeline import Pipeline
 from weakhopf.tensorexpr import compose
 
 INSTANCES = ("g2", "k2", "z2", "sl", "nz")
@@ -46,8 +47,8 @@ def test_criterion_1_axiom_suite():
 def test_criterion_2_derived_identity_suite():
     start = time.perf_counter()
     for name in INSTANCES:
-        bim = inst.BUILTINS[name]()
-        ent = ew.build_entwining(bim)
+        pipe = Pipeline(inst.BUILTINS[name]())
+        bim, ent = pipe.bim, pipe.entwining
         entw = ew.check_weak_entwining(ent, bim)
         assert entw.passed, (name, entw.failed_ids())
         derived = ew.check_derived_identities(ent, bim)
@@ -64,9 +65,8 @@ def test_criterion_2_derived_identity_suite():
 def test_criterion_3_base_object():
     expected_r = {"g2": 2, "k2": 2, "z2": 1, "sl": 1, "nz": 1}
     for name in INSTANCES:
-        bim = inst.BUILTINS[name]()
-        ent = ew.build_entwining(bim)
-        base = bo.build_base(bim, ent)
+        pipe = Pipeline(inst.BUILTINS[name]())
+        bim, base = pipe.bim, pipe.base
         assert base.r == expected_r[name], name
         frob = bo.check_frobenius_separable(base)
         assert frob.passed, (name, frob.failed_ids())
@@ -80,20 +80,13 @@ def test_criterion_3_base_object():
 
 
 def test_criterion_4_galois():
-    def pipeline(name):
-        bim = inst.BUILTINS[name]()
-        ent = ew.build_entwining(bim)
-        base = bo.build_base(bim, ent)
-        acts = bo.build_actions(bim, base)
-        return bim, ent, base, acts, gl.build_galois(bim, ent, base, acts)
-
-    _, _, _, _, gal = pipeline("g2")
+    gal = Pipeline(inst.BUILTINS["g2"]()).galois
     assert gal.tensor_dim == 8
     assert gal.gamma.mat.rows == 8 and gal.gamma.mat.cols == 8
     assert gal.gamma_invertible and gal.gamma_prime_invertible
     assert gal.gamma_prime.mat.rows == 8 and gal.gamma_prime.mat.cols == 8
 
-    bim, _, _, _, gal = pipeline("z2")
+    gal = Pipeline(inst.BUILTINS["z2"]()).galois
     table = inst.cyclic_group_table(2)
     classical = Mat.from_entries(4, 4, {
         (g * 2 + table[g][h], g * 2 + h): 1 for g in range(2) for h in range(2)
@@ -102,7 +95,7 @@ def test_criterion_4_galois():
     assert gal.gamma.mat == classical
     assert gal.gamma_invertible
 
-    _, _, _, _, gal = pipeline("nz")
+    gal = Pipeline(inst.BUILTINS["nz"]()).galois
     assert gal.gamma.mat.rows == 4
     assert gal.gamma_rank == 3
     assert not gal.gamma_invertible
@@ -111,11 +104,8 @@ def test_criterion_4_galois():
 
 def test_criterion_5_antipode():
     def build(name):
-        bim = inst.BUILTINS[name]()
-        ent = ew.build_entwining(bim)
-        base = bo.build_base(bim, ent)
-        acts = bo.build_actions(bim, base)
-        return bim, ent, base, gl.build_galois(bim, ent, base, acts)
+        pipe = Pipeline(inst.BUILTINS[name]())
+        return pipe.bim, pipe.entwining, pipe.base, pipe.galois
 
     bim, ent, base, gal = build("g2")
     antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
@@ -148,11 +138,8 @@ def test_criterion_6_fundamental_theorem_consistency():
             assert (verdict.linear_status == "found") == verdict.hopf
         assert verdict.hopf is (name != "nz")
     for name in ("g2", "z2", "sl"):
-        bim = inst.BUILTINS[name]()
-        ent = ew.build_entwining(bim)
-        base = bo.build_base(bim, ent)
-        acts = bo.build_actions(bim, base)
-        gal = gl.build_galois(bim, ent, base, acts)
+        pipe = Pipeline(inst.BUILTINS[name]())
+        bim, ent, base, gal = pipe.bim, pipe.entwining, pipe.base, pipe.galois
         antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
         report = gl.check_remark_inverses(bim, ent, base, gal, antipode)
         assert report.passed, (name, report.failed_ids())
@@ -176,11 +163,8 @@ def test_criterion_6_fundamental_theorem_consistency():
 def test_criterion_7_hopf_module_round_trip():
     expected_coinv = {"g2": 2, "z2": 1}
     for name in ("g2", "z2"):
-        bim = inst.BUILTINS[name]()
-        ent = ew.build_entwining(bim)
-        base = bo.build_base(bim, ent)
-        acts = bo.build_actions(bim, base)
-        gal = gl.build_galois(bim, ent, base, acts)
+        pipe = Pipeline(inst.BUILTINS[name]())
+        bim, ent, base, gal = pipe.bim, pipe.entwining, pipe.base, pipe.galois
         antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
         module = hm.K_omega(bim, 1)
         coin = hm.coinvariants(bim, ent, antipode, module)
@@ -191,11 +175,8 @@ def test_criterion_7_hopf_module_round_trip():
         assert rt.entry("rt.comparison-bijective").holds
     # beta idempotent and the Prop 7.5 square on every shipped mixed bimodule
     for name in ("g2", "k2", "z2", "sl"):
-        bim = inst.BUILTINS[name]()
-        ent = ew.build_entwining(bim)
-        base = bo.build_base(bim, ent)
-        acts = bo.build_actions(bim, base)
-        gal = gl.build_galois(bim, ent, base, acts)
+        pipe = Pipeline(inst.BUILTINS[name]())
+        bim, ent, base, gal = pipe.bim, pipe.entwining, pipe.base, pipe.galois
         antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
         modules = [hm.K_omega(bim, d) for d in (1, 2)]
         if name == "g2":
@@ -255,7 +236,7 @@ def test_criterion_8_mutation_sensitivity():
         failed = []
         for report in bm.check_instance(broken).values():
             failed.extend(report.failed_ids())
-        ent = ew.build_entwining(broken, require=False)
+        ent = ew.build_entwining(broken)
         failed.extend(ew.check_weak_entwining(ent, broken).failed_ids())
         failed.extend(ew.check_derived_identities(ent, broken).failed_ids())
         assert failed, description

@@ -15,7 +15,7 @@ def test_base_dims(any_pipeline):
 
 
 def test_splitting_recomposes_xibar(any_pipeline):
-    base, ent = any_pipeline.base, any_pipeline.ent
+    base, ent = any_pipeline.base, any_pipeline.entwining
     assert base.xibar_map() == ent.xibar
     assert compose([base.iota, base.q]).mat == Mat.identity(base.r)
 
@@ -54,7 +54,7 @@ def test_z2_base_is_ground_field(z2):
 
 
 def test_equaliser_locus_is_iota_image(any_pipeline):
-    bim, ent, base = any_pipeline.bim, any_pipeline.ent, any_pipeline.base
+    bim, ent, base = any_pipeline.bim, any_pipeline.entwining, any_pipeline.base
     from weakhopf.exactmat import kernel_basis
     one = bim.id1()
     diff = compose([bim.delta, tensor(ent.chi, one)]).mat - bim.delta.mat
@@ -62,7 +62,7 @@ def test_equaliser_locus_is_iota_image(any_pipeline):
 
 
 def test_coequaliser_factors_through_q(any_pipeline):
-    bim, ent, base = any_pipeline.bim, any_pipeline.ent, any_pipeline.base
+    bim, ent, base = any_pipeline.bim, any_pipeline.entwining, any_pipeline.base
     from weakhopf.exactmat import rank
     one = bim.id1()
     diff = compose([tensor(ent.chibar, one), bim.m]).mat - bim.m.mat
@@ -71,12 +71,12 @@ def test_coequaliser_factors_through_q(any_pipeline):
 
 
 def test_action_laws(any_pipeline):
-    assert any_pipeline.acts.report.passed
+    assert any_pipeline.actions.report.passed
 
 
 def test_g2_right_action_is_free_of_rank_two(g2):
     # g_ij . b_x = [x == j] g_ij, so H is free with basis {g_i0, g_i1} rows
-    acts = g2.acts
+    acts = g2.actions
     arrows = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for k, (i, j) in enumerate(arrows):
         for x in range(2):
@@ -86,13 +86,13 @@ def test_g2_right_action_is_free_of_rank_two(g2):
 
 
 def test_z2_right_action_is_scalar(z2):
-    acts, bim = z2.acts, z2.bim
+    acts, bim = z2.actions, z2.bim
     assert acts.rho_r == dataclasses.replace(
         bim.id1(), dom=(2, 1), mat=bim.id1().mat)
 
 
 def test_k2_left_action_is_multiplication(k2):
-    assert k2.acts.rho_l.mat == k2.bim.m.mat
+    assert k2.actions.rho_l.mat == k2.bim.m.mat
 
 
 def test_broken_separability_fails_pi_section(g2):
@@ -106,4 +106,4 @@ def test_broken_separability_fails_pi_section(g2):
 
 def test_build_base_requires_entwining_on_matching_instance(g2, z2):
     with pytest.raises(Exception):
-        bo.build_base(g2.bim, z2.ent)
+        bo.build_base(g2.bim, z2.entwining)

@@ -5,6 +5,7 @@ from weakhopf import entwining as ew
 from weakhopf import instances as inst
 from weakhopf.bimonad import Algebra, WeakYBPair
 from weakhopf.exactmat import Mat
+from weakhopf.pipeline import Pipeline
 from weakhopf.tensorexpr import compose, from_table, identity_map
 
 
@@ -22,19 +23,19 @@ def arrow_endo(rule):
 
 
 def test_g2_xi_and_xibar_structure_constants(g2):
-    assert g2.ent.xi == arrow_endo(lambda a: (a[0], a[0]))
-    assert g2.ent.xibar == arrow_endo(lambda a: (a[1], a[1]))
-    assert g2.ent.chi == arrow_endo(lambda a: (a[0], a[0]))
-    assert g2.ent.chibar == arrow_endo(lambda a: (a[1], a[1]))
+    assert g2.entwining.xi == arrow_endo(lambda a: (a[0], a[0]))
+    assert g2.entwining.xibar == arrow_endo(lambda a: (a[1], a[1]))
+    assert g2.entwining.chi == arrow_endo(lambda a: (a[0], a[0]))
+    assert g2.entwining.chibar == arrow_endo(lambda a: (a[1], a[1]))
 
 
 def test_g2_kappa_rank(g2):
-    assert g2.ent.gbar_dim == 8
-    assert g2.ent.tbar_dim == 8
+    assert g2.entwining.gbar_dim == 8
+    assert g2.entwining.tbar_dim == 8
 
 
 def test_z2_degenerates_to_ordinary_bialgebra(z2):
-    bim, ent = z2.bim, z2.ent
+    bim, ent = z2.bim, z2.entwining
     assert ent.xi == bim.conv_unit()
     assert ent.xibar == bim.conv_unit()
     assert ent.kappa == identity_map((2, 2))
@@ -43,18 +44,18 @@ def test_z2_degenerates_to_ordinary_bialgebra(z2):
 
 def test_k2_has_identity_xi(k2):
     one = k2.bim.id1()
-    assert k2.ent.xi == one
-    assert k2.ent.xibar == one
+    assert k2.entwining.xi == one
+    assert k2.entwining.xibar == one
 
 
 def test_weak_entwining_axioms_hold(any_pipeline):
-    report = ew.check_weak_entwining(any_pipeline.ent, any_pipeline.bim)
+    report = ew.check_weak_entwining(any_pipeline.entwining, any_pipeline.bim)
     assert report.passed, report.failed_ids()
     assert len(report.entries) == 10
 
 
 def test_derived_identity_suite_holds(any_pipeline):
-    report = ew.check_derived_identities(any_pipeline.ent, any_pipeline.bim)
+    report = ew.check_derived_identities(any_pipeline.entwining, any_pipeline.bim)
     assert report.passed, report.failed_ids()
 
 
@@ -67,7 +68,7 @@ def test_identity_braiding_breaks_compatibility():
     assert bm.check_weak_yb(broken.yb).passed
     assert not bm.check_weak_braided_bimonad(broken).entry("wbb5").holds
     # ... and the induced entwining is not compatible
-    ent = ew.build_entwining(broken, require=False)
+    ent = ew.build_entwining(broken)
     report = ew.check_weak_entwining(ent, broken)
     assert not report.entry("ent.m.compat").holds
 
@@ -82,7 +83,7 @@ def test_wbb5_failure_shows_up_as_kappa_delta():
         bim, alg=Algebra(4, dataclasses.replace(bim.m, mat=Mat(4, 16, rows)),
                          bim.e))
     assert not bm.check_weak_braided_bimonad(broken).entry("wbb5").holds
-    ent = ew.build_entwining(broken, require=False)
+    ent = ew.build_entwining(broken)
     report = ew.check_derived_identities(ent, broken)
     assert report.failed_ids()  # the perturbation is caught by named entries
 
@@ -90,13 +91,13 @@ def test_wbb5_failure_shows_up_as_kappa_delta():
     one2 = identity_map((4, 4))
     braid_broken = dataclasses.replace(
         bim, yb=WeakYBPair(tau=one2, tau_prime=one2, nabla=one2))
-    ent = ew.build_entwining(braid_broken, require=False)
+    ent = ew.build_entwining(braid_broken)
     report = ew.check_derived_identities(ent, braid_broken)
     assert not report.entry("c-diag.kappa-delta").holds
 
 
 def test_informational_entries_do_not_gate(g2):
-    report = ew.check_derived_identities(g2.ent, g2.bim)
+    report = ew.check_derived_identities(g2.entwining, g2.bim)
     info = {e.axiom_id: e for e in report.entries if e.informational}
     assert set(info) == {"info.one-conv-xi", "info.xibar-conv-one"}
     # genuinely weak instance: the unasserted symmetric identities fail here
@@ -106,7 +107,7 @@ def test_informational_entries_do_not_gate(g2):
 
 
 def test_informational_entries_hold_on_ordinary_bialgebra(z2):
-    report = ew.check_derived_identities(z2.ent, z2.bim)
+    report = ew.check_derived_identities(z2.entwining, z2.bim)
     for e in report.entries:
         if e.informational:
             assert e.holds
@@ -120,7 +121,7 @@ def test_gate_refuses_broken_instances():
     import pytest
     from weakhopf.errors import PrerequisiteAxiomFailed
     with pytest.raises(PrerequisiteAxiomFailed):
-        ew.build_entwining(broken)
+        Pipeline(broken).entwining
 
 
 def test_derived_identities_on_duals():
@@ -143,7 +144,7 @@ def test_dual_g2_separates_the_four_idempotents():
 
 
 def test_convolution_idempotents(any_pipeline):
-    bim, ent = any_pipeline.bim, any_pipeline.ent
+    bim, ent = any_pipeline.bim, any_pipeline.entwining
     assert bim.convolve(ent.xi, ent.xi) == ent.xi
     assert bim.convolve(ent.xibar, ent.xibar) == ent.xibar
     for f in (ent.xi, ent.xibar, ent.chi, ent.chibar):

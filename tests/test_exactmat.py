@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weakhopf import exactmat
 from weakhopf.bimonad import first_difference
 from weakhopf.errors import DimensionMismatch, NotIdempotent, NotInvertible
 from weakhopf.exactmat import (
@@ -15,6 +16,7 @@ from weakhopf.exactmat import (
     mul,
     rank,
     rref,
+    section,
     solve,
     split_idempotent,
     tolerance,
@@ -438,3 +440,35 @@ def test_first_difference_matches_dense_scan(data):
     b = Mat(a.rows, a.cols, grid)
     assert first_difference(a, b) == dense_first_difference(rows_of(a), grid)
     assert first_difference(b, a) == dense_first_difference(grid, rows_of(a))
+
+
+@given(st.data())
+def test_section_of_cokernel_projection_is_its_unit_column_inclusion(data):
+    # the projections the galois layer factors through: cokernel_projection
+    # and its tensor product with an identity
+    m = data.draw(sparse_mats())
+    proj, t = cokernel_projection(m)
+    proj = kron(proj, Mat.identity(data.draw(st.integers(1, 3))))
+    t = proj.rows
+    target = mul(data.draw(sparse_mats(cols=t)), proj)
+    sec = section(proj)
+    assert mul(proj, sec) == Mat.identity(t)
+    assert [v for _, _, v in sec.items()] == [1] * t
+    assert mul(target, sec) == mul(target, solve(proj, Mat.identity(t)))
+
+
+def test_section_reads_unit_columns_without_elimination(monkeypatch):
+    def no_rref(m):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(exactmat, "rref", no_rref)
+    proj = Mat.from_rows([[1, 2, 0, 1], [0, 3, 1, 0]])
+    assert section(proj) == Mat.from_rows([[1, 0], [0, 0], [0, 1], [0, 0]])
+
+
+def test_section_without_unit_columns_falls_back_to_solve():
+    proj = Mat.from_rows([[1, 1, 0], [0, 2, 2]])
+    sec = section(proj)
+    assert mul(proj, sec) == Mat.identity(2)
+    assert sec == solve(proj, Mat.identity(2))
+    assert section(Mat.from_rows([[1, 1], [1, 1]])) is None

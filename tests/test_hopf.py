@@ -12,59 +12,59 @@ from weakhopf.exactmat import Mat
 
 def test_check_antipode_groupoid_inverse(g2):
     s = inst.groupoid_antipode(inst.full_groupoid(2))
-    report = hopf.check_antipode(g2.bim, g2.ent, s)
+    report = hopf.check_antipode(g2.bim, g2.entwining, s)
     assert report.passed, report.failed_ids()
 
 
 def test_identity_is_not_an_antipode_for_g2(g2):
-    report = hopf.check_antipode(g2.bim, g2.ent, g2.bim.id1())
+    report = hopf.check_antipode(g2.bim, g2.entwining, g2.bim.id1())
     # g_ij g_ij = 0 for i != j, so 1*S misses xi
     assert not report.entry("hopf.one-conv-S").holds
 
 
 def test_identity_is_an_antipode_for_z2(z2):
-    report = hopf.check_antipode(z2.bim, z2.ent, z2.bim.id1())
+    report = hopf.check_antipode(z2.bim, z2.entwining, z2.bim.id1())
     assert report.passed
 
 
 def test_construction_recovers_groupoid_inverse(g2):
-    antipode = hopf.construct_antipode_from_galois(g2.bim, g2.ent, g2.base,
-                                                   g2.gal)
+    antipode = hopf.construct_antipode_from_galois(g2.bim, g2.entwining, g2.base,
+                                                   g2.galois)
     assert antipode.origin == "from_galois"
     assert antipode.map == inst.groupoid_antipode(inst.full_groupoid(2))
 
 
 def test_construction_on_superline_flips_sign(sl):
-    antipode = hopf.construct_antipode_from_galois(sl.bim, sl.ent, sl.base,
-                                                   sl.gal)
+    antipode = hopf.construct_antipode_from_galois(sl.bim, sl.entwining, sl.base,
+                                                   sl.galois)
     assert antipode.map.mat == Mat.from_rows([[1, 0], [0, -1]])
 
 
 def test_construction_on_z2_is_identity(z2):
-    antipode = hopf.construct_antipode_from_galois(z2.bim, z2.ent, z2.base,
-                                                   z2.gal)
+    antipode = hopf.construct_antipode_from_galois(z2.bim, z2.entwining, z2.base,
+                                                   z2.galois)
     assert antipode.map == z2.bim.id1()
 
 
 def test_construction_refuses_singular_gamma(nz):
     with pytest.raises(GaloisNotInvertible) as err:
-        hopf.construct_antipode_from_galois(nz.bim, nz.ent, nz.base, nz.gal)
+        hopf.construct_antipode_from_galois(nz.bim, nz.entwining, nz.base, nz.galois)
     assert err.value.rank == 3
 
 
 def test_linear_solve_proves_nz_has_no_antipode(nz):
-    result = hopf.solve_antipode_linear(nz.bim, nz.ent)
+    result = hopf.solve_antipode_linear(nz.bim, nz.entwining)
     assert result.status == "no_solution"
     assert result.antipode is None
 
 
 def test_linear_solve_finds_antipodes(g2, sl, z2, k2):
     for pipe in (g2, sl, z2, k2):
-        result = hopf.solve_antipode_linear(pipe.bim, pipe.ent)
+        result = hopf.solve_antipode_linear(pipe.bim, pipe.entwining)
         assert result.status == "found"
-        report = hopf.check_antipode(pipe.bim, pipe.ent, result.antipode.map)
+        report = hopf.check_antipode(pipe.bim, pipe.entwining, result.antipode.map)
         assert report.passed, report.failed_ids()
-    assert hopf.solve_antipode_linear(sl.bim, sl.ent).antipode.map.mat == \
+    assert hopf.solve_antipode_linear(sl.bim, sl.entwining).antipode.map.mat == \
         Mat.from_rows([[1, 0], [0, -1]])
 
 
@@ -83,9 +83,9 @@ def test_fundamental_verdicts_agree(any_pipeline):
 def test_derived_antipode_absorptions(g2, sl):
     # S*1*S = S*xi = S implies xibar*S = S and S*xi = S for each construction
     for pipe in (g2, sl):
-        bim, ent = pipe.bim, pipe.ent
+        bim, ent = pipe.bim, pipe.entwining
         built = hopf.construct_antipode_from_galois(bim, ent, pipe.base,
-                                                    pipe.gal)
+                                                    pipe.galois)
         solved = hopf.solve_antipode_linear(bim, ent).antipode
         for antipode in (built, solved):
             s = antipode.map
@@ -94,11 +94,11 @@ def test_derived_antipode_absorptions(g2, sl):
 
 
 def test_both_construction_paths_reported_without_uniqueness_claim(g2):
-    built = hopf.construct_antipode_from_galois(g2.bim, g2.ent, g2.base, g2.gal)
-    solved = hopf.solve_antipode_linear(g2.bim, g2.ent).antipode
+    built = hopf.construct_antipode_from_galois(g2.bim, g2.entwining, g2.base, g2.galois)
+    solved = hopf.solve_antipode_linear(g2.bim, g2.entwining).antipode
     # no uniqueness assertion; both must simply pass the defining conditions
     for antipode in (built, solved):
-        assert hopf.check_antipode(g2.bim, g2.ent, antipode.map).passed
+        assert hopf.check_antipode(g2.bim, g2.entwining, antipode.map).passed
 
 
 def test_dual_instances_share_the_verdict():

@@ -18,12 +18,12 @@ def cofree_comodule(bim):
 
 
 def antipode_of(pipe):
-    return hopf.construct_antipode_from_galois(pipe.bim, pipe.ent, pipe.base,
-                                               pipe.gal)
+    return hopf.construct_antipode_from_galois(pipe.bim, pipe.entwining, pipe.base,
+                                               pipe.galois)
 
 
 def test_regular_bimodule_is_mixed(any_pipeline):
-    bim, ent = any_pipeline.bim, any_pipeline.ent
+    bim, ent = any_pipeline.bim, any_pipeline.entwining
     module = hm.K_omega(bim, 1)
     report = hm.check_mixed_bimodule(bim, ent, module)
     assert report.passed, report.failed_ids()
@@ -32,18 +32,18 @@ def test_regular_bimodule_is_mixed(any_pipeline):
 def test_zero_dimensional_carrier_passes_vacuously(g2):
     module = hm.K_omega(g2.bim, 0)
     assert module.dim == 0
-    assert hm.check_mixed_bimodule(g2.bim, g2.ent, module).passed
+    assert hm.check_mixed_bimodule(g2.bim, g2.entwining, module).passed
 
 
 def test_k_omega_two_dimensional(z2, g2):
     for pipe in (z2, g2):
         module = hm.K_omega(pipe.bim, 2)
         assert module.dim == 2 * pipe.bim.n
-        assert hm.check_mixed_bimodule(pipe.bim, pipe.ent, module).passed
+        assert hm.check_mixed_bimodule(pipe.bim, pipe.entwining, module).passed
 
 
 def test_inverted_coaction_breaks_omega_square(g2):
-    bim, ent = g2.bim, g2.ent
+    bim, ent = g2.bim, g2.entwining
     # theta(g_uv) = g_vu (x) g_uv keeps the comodule laws but not the square
     arrows = [(0, 0), (0, 1), (1, 0), (1, 1)]
     entries = {}
@@ -59,7 +59,7 @@ def test_inverted_coaction_breaks_omega_square(g2):
 
 
 def test_induced_comonad_at_free_module_is_kappa(any_pipeline):
-    bim, ent = any_pipeline.bim, any_pipeline.ent
+    bim, ent = any_pipeline.bim, any_pipeline.entwining
     induced = hm.induced_comonad_on_module(bim, ent, free_module(bim))
     assert induced.idempotent.mat == ent.kappa.mat
     assert induced.splitting.rank == ent.gbar_dim
@@ -67,7 +67,7 @@ def test_induced_comonad_at_free_module_is_kappa(any_pipeline):
 
 
 def test_induced_monad_at_cofree_comodule_is_kappa_prime(any_pipeline):
-    bim, ent = any_pipeline.bim, any_pipeline.ent
+    bim, ent = any_pipeline.bim, any_pipeline.entwining
     induced = hm.induced_monad_on_comodule(bim, ent, cofree_comodule(bim))
     assert induced.idempotent.mat == ent.kappa_prime.mat
     assert induced.splitting.rank == ent.tbar_dim
@@ -76,8 +76,8 @@ def test_induced_monad_at_cofree_comodule_is_kappa_prime(any_pipeline):
 
 def test_induced_comonad_split_dims(g2, z2):
     assert hm.induced_comonad_on_module(
-        g2.bim, g2.ent, free_module(g2.bim)).splitting.rank == 8
-    induced = hm.induced_comonad_on_module(z2.bim, z2.ent, free_module(z2.bim))
+        g2.bim, g2.entwining, free_module(g2.bim)).splitting.rank == 8
+    induced = hm.induced_comonad_on_module(z2.bim, z2.entwining, free_module(z2.bim))
     assert induced.idempotent.mat == Mat.identity(4)
     assert induced.splitting.rank == 4
 
@@ -85,13 +85,13 @@ def test_induced_comonad_split_dims(g2, z2):
 def test_induced_structures_reject_non_modules(g2):
     bad = hm.HModule(4, TensorMap((4, 4), (4,), Mat.zeros(4, 16)))
     with pytest.raises(PrerequisiteAxiomFailed):
-        hm.induced_comonad_on_module(g2.bim, g2.ent, bad)
+        hm.induced_comonad_on_module(g2.bim, g2.entwining, bad)
 
 
 def test_coinvariants_of_regular_module(g2, z2, k2):
     for pipe, expect in ((g2, 2), (z2, 1), (k2, 2)):
         module = hm.K_omega(pipe.bim, 1)
-        coin = hm.coinvariants(pipe.bim, pipe.ent, antipode_of(pipe), module)
+        coin = hm.coinvariants(pipe.bim, pipe.entwining, antipode_of(pipe), module)
         assert coin.dim == expect
         assert same_column_span(coin.inclusion.mat, pipe.base.iota.mat)
         assert coin.report.passed, coin.report.failed_ids()
@@ -99,7 +99,7 @@ def test_coinvariants_of_regular_module(g2, z2, k2):
 
 def test_coinvariants_without_antipode_uses_equaliser(nz):
     module = hm.K_omega(nz.bim, 1)
-    coin = hm.coinvariants(nz.bim, nz.ent, None, module)
+    coin = hm.coinvariants(nz.bim, nz.entwining, None, module)
     assert coin.dim == 1
     assert coin.projection is None
 
@@ -109,7 +109,7 @@ def test_coinvariant_dimension_scales_with_carrier(g2, z2, sl):
         antipode = antipode_of(pipe)
         for d in (1, 2, 3):
             module = hm.K_omega(pipe.bim, d)
-            coin = hm.coinvariants(pipe.bim, pipe.ent, antipode, module)
+            coin = hm.coinvariants(pipe.bim, pipe.entwining, antipode, module)
             assert coin.dim == pipe.base.r * d
 
 
@@ -118,7 +118,7 @@ def test_beta_checks_on_shipped_modules(g2, z2, sl, k2):
         antipode = antipode_of(pipe)
         for d in (1, 2):
             module = hm.K_omega(pipe.bim, d)
-            coin = hm.coinvariants(pipe.bim, pipe.ent, antipode, module)
+            coin = hm.coinvariants(pipe.bim, pipe.entwining, antipode, module)
             ids = {e.axiom_id for e in coin.report.entries}
             assert {"coinv.beta-idem", "coinv.beta-span", "coinv.prop75-square",
                     "coinv.prop76-splitwitness"} <= ids
@@ -128,7 +128,7 @@ def test_beta_checks_on_shipped_modules(g2, z2, sl, k2):
 def test_roundtrip_regular_module(g2, z2):
     for pipe, dim in ((g2, 4), (z2, 2)):
         module = hm.K_omega(pipe.bim, 1)
-        report = hm.fundamental_roundtrip(pipe.bim, pipe.ent, pipe.base,
+        report = hm.fundamental_roundtrip(pipe.bim, pipe.entwining, pipe.base,
                                           antipode_of(pipe), module)
         assert report.passed, report.failed_ids()
         assert module.dim == dim
@@ -140,14 +140,14 @@ def test_roundtrip_from_free_base_module(g2):
     nb = hm.BaseModule(base.r, base.m_base)
     induced, _ = hm.induce_from_base(g2.bim, base, nb)
     assert nb.dim == 2 and induced.dim == 4
-    assert hm.check_mixed_bimodule(g2.bim, g2.ent, induced).passed
-    coin = hm.coinvariants(g2.bim, g2.ent, antipode_of(g2), induced)
+    assert hm.check_mixed_bimodule(g2.bim, g2.entwining, induced).passed
+    coin = hm.coinvariants(g2.bim, g2.entwining, antipode_of(g2), induced)
     assert coin.dim == 2
 
 
 def test_roundtrip_on_k_omega_two(g2):
     module = hm.K_omega(g2.bim, 2)
-    report = hm.fundamental_roundtrip(g2.bim, g2.ent, g2.base,
+    report = hm.fundamental_roundtrip(g2.bim, g2.entwining, g2.base,
                                       antipode_of(g2), module)
     assert report.passed, report.failed_ids()
 
@@ -160,7 +160,7 @@ def test_shipped_module_file_round_trips(g2, tmp_path):
         module = inst.load_module(path, g2.bim)
         text = path.read_text()
     assert module.dim == 4
-    assert hm.check_mixed_bimodule(g2.bim, g2.ent, module).passed
+    assert hm.check_mixed_bimodule(g2.bim, g2.entwining, module).passed
     out = tmp_path / "roundtrip.module"
     assert inst.save_module(module, g2.bim, out) == text
 

@@ -93,14 +93,14 @@ def test_convolution_unit_on_ordinary_bialgebra(f):
 
 
 def test_convolution_id_with_antipode_gives_xi(g2):
-    bim, ent = g2.bim, g2.ent
+    bim, ent = g2.bim, g2.entwining
     s = inst.groupoid_antipode(inst.full_groupoid(2))
     # structure constants: g_ij g_ji = g_ii, so id * S collapses to xi
     assert bim.convolve(bim.id1(), s) == ent.xi
 
 
 def test_convolution_xi_idempotent(g2):
-    assert g2.bim.convolve(g2.ent.xi, g2.ent.xi) == g2.ent.xi
+    assert g2.bim.convolve(g2.entwining.xi, g2.entwining.xi) == g2.entwining.xi
 
 
 @settings(max_examples=10)
