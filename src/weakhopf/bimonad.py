@@ -14,7 +14,6 @@ from typing import Optional
 
 from . import tensorexpr as tx
 from .errors import DimensionMismatch, PrerequisiteAxiomFailed, TauPrimeRequired
-from .exactmat import is_zero
 from .tensorexpr import TensorMap, compose, convolution, identity_map, lift, tensor
 
 
@@ -67,7 +66,7 @@ def first_difference(a, b):
         if ra == rb:
             continue
         cols = [j for j in ra.keys() | rb.keys()
-                if not is_zero(ra.get(j, 0) - rb.get(j, 0))]
+                if ra.get(j, 0) - rb.get(j, 0)]
         if cols:
             return (i, min(cols))
     return None

@@ -7,9 +7,10 @@ Text goes to stdout; ``--out FILE`` additionally writes the structured JSON
 report.  Structured reports carry no timings so that identical inputs give
 byte-identical files; elapsed time is printed to stderr instead.
 
-``--float`` switches every comparison and rank computation to double
-precision with threshold ``--tol`` (default 1e-9).  Exploratory use only;
-the acceptance suite runs exact mode.
+Every comparison and rank is exact over the rationals; there is no
+approximate mode.  ``--max-dim`` bounds the instance dim and a module's
+carrier (at most ``--max-dim`` times the instance dim) before any map is
+built.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import baseobject, bimonad, entwining, exactmat, hopf, hopfmodules
+from . import baseobject, bimonad, entwining, hopfmodules
 from . import instances as inst
-from .bimonad import WeakBraidedBimonad
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -38,25 +38,8 @@ from .pipeline import Pipeline
 from .tensorexpr import TensorMap, parse_expr
 
 
-def _to_float(bim: WeakBraidedBimonad) -> WeakBraidedBimonad:
-    def conv(f: TensorMap) -> TensorMap:
-        mat = exactmat.Mat.from_entries(
-            f.mat.rows, f.mat.cols,
-            {(i, j): float(v) for i, j, v in f.mat.items()})
-        return TensorMap(f.dom, f.cod, mat)
-
-    return WeakBraidedBimonad(
-        alg=bimonad.Algebra(bim.n, conv(bim.m), conv(bim.e)),
-        coa=bimonad.Coalgebra(bim.n, conv(bim.delta), conv(bim.eps)),
-        yb=bimonad.WeakYBPair(conv(bim.tau), conv(bim.tau_prime),
-                              conv(bim.nabla)),
-        name=bim.name, expected=bim.expected,
-    )
-
-
 def _load_pipeline(args) -> Pipeline:
-    bim = inst.load(args.path, max_dim=args.max_dim)
-    return Pipeline(_to_float(bim) if args.float else bim)
+    return Pipeline(inst.load(args.path, max_dim=args.max_dim))
 
 
 def _gated(cmd):
@@ -166,19 +149,15 @@ def cmd_derive(args, pipe: Pipeline) -> int:
     return 0 if ok else 1
 
 
-def _literal(v) -> str:
-    return repr(v) if isinstance(v, float) else str(Fraction(v))
-
-
 def _sparse_endo_rows(f: TensorMap):
-    rows = [[j, i, _literal(v)] for i, j, v in f.mat.items()]
+    rows = [[j, i, str(Fraction(v))] for i, j, v in f.mat.items()]
     rows.sort(key=lambda row: row[:2])
     return rows
 
 
 @_gated
 def cmd_antipode(args, pipe: Pipeline) -> int:
-    bim, ent = pipe.bim, pipe.entwining
+    bim = pipe.bim
     gal_data, linear = pipe.galois, pipe.linear
     doc = {
         "command": "antipode",
@@ -193,8 +172,7 @@ def cmd_antipode(args, pipe: Pipeline) -> int:
     }
     if gal_data.gamma_invertible:
         antipode = pipe.antipode
-        doc["sections"]["antipode"] = \
-            hopf.check_antipode(bim, ent, antipode.map).to_jsonable()
+        doc["sections"]["antipode"] = antipode.report.to_jsonable()
         doc["antipode"] = {"origin": antipode.origin,
                            "entries": _sparse_endo_rows(antipode.map)}
         if linear.antipode is not None:
@@ -242,7 +220,7 @@ def cmd_galois(args, pipe: Pipeline) -> int:
 @_gated
 def cmd_hopfmod(args, pipe: Pipeline) -> int:
     bim = pipe.bim
-    module = inst.load_module(args.modulepath, bim)
+    module = inst.load_module(args.modulepath, bim, max_dim=args.max_dim)
     ent, base, gal_data = pipe.entwining, pipe.base, pipe.galois
     sections = {"module": hopfmodules.check_mixed_bimodule(bim, ent, module)}
     doc = {
@@ -260,11 +238,12 @@ def cmd_hopfmod(args, pipe: Pipeline) -> int:
         _emit(doc, args)
         return 1
     antipode = pipe.antipode if gal_data.gamma_invertible else None
-    doc["dims"]["coinvariants"] = \
-        hopfmodules.coinvariants(bim, ent, antipode, module).dim
+    coin = hopfmodules.coinvariants(bim, ent, antipode, module,
+                                    laws=sections["module"])
+    doc["dims"]["coinvariants"] = coin.dim
     ok = antipode is not None
     if ok:
-        sections["roundtrip"] = pipe.roundtrip(module)
+        sections["roundtrip"] = pipe.roundtrip(module, coin)
         ok = doc["verdicts"]["roundtrip_pass"] = sections["roundtrip"].passed
     else:
         doc["notes"].append("instance is not a weak Hopf monad; "
@@ -297,7 +276,8 @@ def cmd_eval(args) -> int:
         "expr": args.expr,
         "dom": list(result.dom),
         "cod": list(result.cod),
-        "entries": [[i, j, _literal(v)] for i, j, v in result.mat.items()],
+        "entries": [[i, j, str(Fraction(v))]
+                    for i, j, v in result.mat.items()],
     }
     sys.stdout.write(f"map {result.dom} -> {result.cod}\n")
     sys.stdout.write(result.mat.pretty() + "\n")
@@ -382,12 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "weak Hopf monads")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the structured JSON report here")
-    common.add_argument("--float", action="store_true",
-                        help="double-precision mode (exploratory)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="zero threshold for --float (default 1e-9)")
     common.add_argument("--max-dim", type=int, default=12,
-                        help="refuse instances larger than this (default 12)")
+                        help="refuse instances larger than this, and modules "
+                             "larger than this times the instance (default 12)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -437,11 +414,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     start = time.perf_counter()
     try:
-        if getattr(args, "float", False):
-            with exactmat.tolerance(args.tol):
-                code = command(args)
-        else:
-            code = command(args)
+        code = command(args)
     except (SchemaError, InvalidSpec, ExprSyntaxError, ArityMismatch,
             DimensionMismatch) as exc:
         sys.stderr.write(f"input error: {exc}\n")

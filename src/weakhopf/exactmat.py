@@ -13,11 +13,6 @@ and keeps most arithmetic on structure constants in machine integers.  Every
 elimination picks the first usable pivot in row/column order, so ranks,
 kernels, cokernels and idempotent splittings are bit-identical across runs
 and platforms.
-
-A CLI-only float mode replaces exact zero tests by a threshold; see
-:class:`tolerance`.  The default is exact comparison.  Only exact zeros are
-dropped from storage; in float mode tiny values stay stored and the
-comparisons and pivot choices test them with :func:`is_zero`.
 """
 
 from __future__ import annotations
@@ -27,33 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotIdempotent, NotInvertible
-
-_EPS = None  # None = exact mode; a float threshold in CLI float mode
-
-
-class tolerance:
-    """Context manager for the CLI float mode."""
-
-    def __init__(self, eps):
-        self.eps = eps
-        self._saved = None
-
-    def __enter__(self):
-        global _EPS
-        self._saved = _EPS
-        _EPS = self.eps
-        return self
-
-    def __exit__(self, *exc):
-        global _EPS
-        _EPS = self._saved
-        return False
-
-
-def is_zero(x):
-    if _EPS is None:
-        return x == 0
-    return abs(x) <= _EPS
 
 
 def _reciprocal(x):
@@ -196,9 +164,7 @@ class Mat:
         return _make(self.cols, self.rows, tuple(out))
 
     def is_zero_mat(self):
-        if _EPS is None:
-            return not any(self.rowmaps)
-        return all(is_zero(v) for row in self.rowmaps for v in row.values())
+        return not any(self.rowmaps)
 
     def column_mat(self, js):
         """Submatrix made of the listed columns, in the given order."""
@@ -323,8 +289,7 @@ def rref(m: Mat):
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((k for k in range(r, nrows)
-                   if c in rows[k] and not is_zero(rows[k][c])), None)
+        pr = next((k for k in range(r, nrows) if c in rows[k]), None)
         if pr is None:
             continue
         prow = rows[pr]
@@ -334,7 +299,7 @@ def rref(m: Mat):
         rows[r] = prow
         for k, row in enumerate(rows):
             f = row.get(c)
-            if k == r or f is None or is_zero(f):
+            if k == r or f is None:
                 continue
             new = dict(row)
             get = new.get

@@ -14,7 +14,7 @@ the decision procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .baseobject import BaseObject
@@ -32,6 +32,8 @@ from .tensorexpr import TensorMap, compose, hmap, tensor
 class Antipode:
     map: TensorMap  # endomap of H
     origin: str     # "given" | "from_galois" | "from_linear_solve"
+    # check_antipode of map, run once when it is built from gamma
+    report: Optional[AxiomReport] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -70,20 +72,20 @@ def check_antipode(bim: WeakBraidedBimonad, ent: EntwiningData,
 def construct_antipode_from_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
                                    base: BaseObject, gal: GaloisData) -> Antipode:
     """S = q_tilde . gamma^-1 . pbar . (id (x) e); the defining conditions are
-    theorem-backed, so a failing check is a fatal inconsistency."""
+    theorem-backed, so a failing check is a fatal inconsistency.  The passing
+    check is kept as the antipode's ``report``."""
     if not gal.gamma_invertible:
         raise GaloisNotInvertible(gal.gamma_rank,
                                   dims=(gal.gamma.mat.rows, gal.gamma.mat.cols))
     one = bim.id1()
     s_map = compose([tensor(one, bim.e), ent.pbar(), gamma_inverse(gal),
                      gal.q_tilde])
-    antipode = Antipode(map=s_map, origin="from_galois")
     report = check_antipode(bim, ent, s_map)
     failed = report.failed_ids()
     if failed:
         raise InconsistencyError(
             "antipode from invertible gamma fails: " + ", ".join(failed))
-    return antipode
+    return Antipode(map=s_map, origin="from_galois", report=report)
 
 
 def _vec(mat: Mat) -> dict:

@@ -278,17 +278,19 @@ def induced_monad_on_comodule(bim: WeakBraidedBimonad, ent: EntwiningData,
 
 
 def coinvariants(bim: WeakBraidedBimonad, ent: EntwiningData,
-                 antipode: Optional[Antipode],
-                 mod: MixedBimodule) -> Coinvariants:
+                 antipode: Optional[Antipode], mod: MixedBimodule,
+                 laws: Optional[AxiomReport] = None) -> Coinvariants:
     """Equaliser of theta and (id (x) h) . (delta (x) id) . (e (x) id).
 
     With an antipode, additionally verify that beta = h . (S (x) id) . theta
     is idempotent, that its splitting computes the same subspace, and the
-    split-witness identities of the adjunction units/counits.
+    split-witness identities of the adjunction units/counits.  ``laws`` is
+    the check_mixed_bimodule report of mod if the caller has it already.
     """
-    law_report = check_mixed_bimodule(bim, ent, mod)
-    if not law_report.passed:
-        raise PrerequisiteAxiomFailed(law_report.failed_ids())
+    if laws is None:
+        laws = check_mixed_bimodule(bim, ent, mod)
+    if not laws.passed:
+        raise PrerequisiteAxiomFailed(laws.failed_ids())
     idd = identity_map((mod.dim,))
     one = bim.id1()
     canonical = compose([
@@ -343,18 +345,21 @@ def induce_from_base(bim: WeakBraidedBimonad, base: BaseObject,
 
 def fundamental_roundtrip(bim: WeakBraidedBimonad, ent: EntwiningData,
                           base: BaseObject, antipode: Antipode,
-                          mod: MixedBimodule) -> AxiomReport:
+                          mod: MixedBimodule,
+                          coin: Optional[Coinvariants] = None) -> AxiomReport:
     """Round trip M -> coinvariants N -> induced H (x)_{base} N -> M.
 
     The comparison map is induced by h . (id (x) inclusion); it must be
     bijective (RoundTripFailed otherwise).  The symmetric leg starts from the
     computed base module N and checks that the unit map into the coinvariants
-    of the induced module is an isomorphism of base modules.
+    of the induced module is an isomorphism of base modules.  ``coin`` is
+    ``coinvariants(bim, ent, antipode, mod)`` if the caller has it already.
     """
     if antipode is None:
         raise PrerequisiteAxiomFailed(["hopf.antipode-missing"])
     one = bim.id1()
-    coin = coinvariants(bim, ent, antipode, mod)
+    if coin is None:
+        coin = coinvariants(bim, ent, antipode, mod)
     report = AxiomReport()
     report.extend(coin.report)
 
@@ -372,7 +377,8 @@ def fundamental_roundtrip(bim: WeakBraidedBimonad, ent: EntwiningData,
 
     nb = BaseModule(dim=coin.dim, g=g)
     induced, l_n = induce_from_base(bim, base, nb)
-    report.extend(check_mixed_bimodule(bim, ent, induced))
+    induced_laws = check_mixed_bimodule(bim, ent, induced)
+    report.extend(induced_laws)
 
     # comparison map: factor h . (id (x) inclusion) through the quotient;
     # l_n is the cokernel of the relations of N, so it factors exactly when
@@ -397,7 +403,7 @@ def fundamental_roundtrip(bim: WeakBraidedBimonad, ent: EntwiningData,
                        compose([induced.theta, tensor(one, comp)])))
 
     # symmetric leg: N -> induced -> coinvariants, unit map is a base iso
-    coin2 = coinvariants(bim, ent, antipode, induced)
+    coin2 = coinvariants(bim, ent, antipode, induced, laws=induced_laws)
     unit = compose([tensor(bim.e, idn), l_n])
     unit_in = exactmat.solve(coin2.inclusion.mat, unit.mat)
     lands = unit_in is not None

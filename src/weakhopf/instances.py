@@ -431,8 +431,12 @@ def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
     )
 
 
-def load_module(path, bim: WeakBraidedBimonad):
-    """Load a companion module file: carrier dim plus sparse h and theta tables."""
+def load_module(path, bim: WeakBraidedBimonad, max_dim=None):
+    """Load a companion module file: carrier dim plus sparse h and theta tables.
+
+    A carrier above ``max_dim`` times the instance dim, the carrier of
+    K_omega(max_dim), is refused before any entry is read.
+    """
     from .hopfmodules import MixedBimodule
 
     doc = _read_json(path)
@@ -442,6 +446,10 @@ def load_module(path, bim: WeakBraidedBimonad):
     if not isinstance(d, int) or isinstance(d, bool) or d < 0:
         raise SchemaError("dim must be a nonnegative integer", "dim")
     n = bim.n
+    if max_dim is not None and d > max_dim * n:
+        raise SchemaError(
+            f"module dim {d} exceeds --max-dim {max_dim} times the instance "
+            f"dim {n}; raise the guard explicitly for large modules", "dim")
     h_tab = _read_table(doc, "h", 3, (n, d, d))
     th_tab = _read_table(doc, "theta", 3, (n, d, d))
     h_entries = {}

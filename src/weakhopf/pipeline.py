@@ -22,7 +22,8 @@ from .bimonad import AxiomReport, WeakBraidedBimonad
 from .entwining import EntwiningData, build_entwining
 from .errors import EquivalenceViolation, NotIdempotent, PrerequisiteAxiomFailed
 from .galois import GaloisData, build_galois
-from .hopfmodules import K_omega, MixedBimodule, fundamental_roundtrip
+from .hopfmodules import (Coinvariants, K_omega, MixedBimodule,
+                          fundamental_roundtrip)
 
 
 class Pipeline:
@@ -90,8 +91,6 @@ class Pipeline:
         Hopf-module round trip runs on the canonical test module K_omega(1).
         """
         gal, linear, antipode = self.galois, self.linear, self.antipode
-        antipode_report = None if antipode is None else \
-            hopf.check_antipode(self.bim, self.entwining, antipode.map)
         verdicts = {"gamma": gal.gamma_invertible,
                     "gamma_prime": gal.gamma_prime_invertible}
         if linear.status != "inconclusive":
@@ -110,12 +109,13 @@ class Pipeline:
             gamma_prime_invertible=gal.gamma_prime_invertible,
             gamma_prime_rank=gal.gamma_prime_rank,
             linear_status=linear.status,
-            antipode_report=antipode_report,
+            antipode_report=None if antipode is None else antipode.report,
             roundtrip_report=roundtrip_report,
         )
 
-    def roundtrip(self, module: MixedBimodule) -> AxiomReport:
-        """The Hopf-module round trip at module; not cached, as it depends
-        on the module."""
+    def roundtrip(self, module: MixedBimodule,
+                  coin: Optional[Coinvariants] = None) -> AxiomReport:
+        """The Hopf-module round trip at module, from its coinvariants coin
+        if the caller has them; not cached, as it depends on the module."""
         return fundamental_roundtrip(self.bim, self.entwining, self.base,
-                                     self.antipode, module)
+                                     self.antipode, module, coin)

@@ -167,9 +167,22 @@ def test_hopfmod_rejects_broken_module(g2_file, tmp_path, capsys):
     assert "module_pass=false" in out
 
 
-def test_float_mode_smoke(g2_file, capsys):
-    assert cli.main(["check", g2_file, "--float"]) == 0
-    assert cli.main(["derive", g2_file, "--float", "--tol", "1e-9"]) == 0
+def test_hopfmod_refuses_a_carrier_above_the_guard(g2_file, tmp_path, capsys):
+    # g2 has n = 4, so the default --max-dim 12 admits carriers up to 48
+    module = tmp_path / "big.module"
+    module.write_text(json.dumps({"dim": 49, "h": [], "theta": []}))
+    assert cli.main(["hopfmod", g2_file, str(module)]) == 2
+    assert "--max-dim" in capsys.readouterr().err
+    assert cli.main(["hopfmod", g2_file, str(module), "--max-dim", "13"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["check", "--float"],
+                                  ["derive", "--tol", "1e-9"]])
+def test_removed_float_flags_are_input_errors(g2_file, argv, capsys):
+    # exact arithmetic is the only mode; argparse exits 2 on an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], g2_file, *argv[1:]])
+    assert exc.value.code == 2
 
 
 def test_structured_reports_are_deterministic(g2_file, nz_file, tmp_path,

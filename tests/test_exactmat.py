@@ -19,7 +19,6 @@ from weakhopf.exactmat import (
     section,
     solve,
     split_idempotent,
-    tolerance,
 )
 from weakhopf.tensorexpr import TensorMap, lift
 
@@ -231,22 +230,20 @@ def dense_kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
-def dense_rref(rows, zero=lambda v: v == 0):
+def dense_rref(rows):
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((k for k in range(r, len(rows)) if not zero(rows[k][c])),
-                  None)
+        pr = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / (rows[r][c] if isinstance(rows[r][c], float)
-                   else F(rows[r][c]))
+        inv = 1 / F(rows[r][c])
         rows[r] = [inv * v for v in rows[r]]
         for k in range(len(rows)):
-            if k != r and not zero(rows[k][c]):
+            if k != r and rows[k][c] != 0:
                 f = rows[k][c]
                 rows[k] = [v - f * w for v, w in zip(rows[k], rows[r])]
         pivots.append(c)
@@ -345,26 +342,6 @@ def test_rref_matches_dense_oracle(m):
     want, want_pivots = dense_rref(rows_of(m))
     assert pivots == tuple(want_pivots)
     assert rows_of(red) == want
-
-
-floats_with_tiny = st.one_of(
-    st.just(0.0), st.just(1e-12), st.just(-3e-11),
-    st.floats(min_value=-3, max_value=3, allow_nan=False))
-
-
-@given(st.integers(0, 5), st.integers(0, 5), st.data())
-def test_float_mode_rref_matches_dense_oracle(rows, cols, data):
-    # float mode: values within the tolerance stay stored but never pivot
-    grid = data.draw(st.lists(st.lists(floats_with_tiny, min_size=cols,
-                                       max_size=cols),
-                              min_size=rows, max_size=rows))
-    m = Mat(rows, cols, grid)
-    with tolerance(1e-9):
-        red, pivots = rref(m)
-    want, want_pivots = dense_rref(grid, zero=lambda v: abs(v) <= 1e-9)
-    assert pivots == tuple(want_pivots)
-    assert [[float(v) for v in row] for row in red.data] == \
-        [[float(v) for v in row] for row in want]
 
 
 @given(sparse_mats())

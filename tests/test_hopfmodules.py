@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from weakhopf import galois, hopf
 from weakhopf import hopfmodules as hm
 from weakhopf import instances as inst
+from weakhopf.bimonad import AxiomEntry, AxiomReport
 from weakhopf.errors import FactorizationFailed, PrerequisiteAxiomFailed
 from weakhopf.exactmat import Mat, same_column_span
 from weakhopf.tensorexpr import TensorMap
@@ -143,6 +146,33 @@ def test_roundtrip_from_free_base_module(g2):
     assert hm.check_mixed_bimodule(g2.bim, g2.entwining, induced).passed
     coin = hm.coinvariants(g2.bim, g2.entwining, antipode_of(g2), induced)
     assert coin.dim == 2
+
+
+def test_coinvariants_refuse_a_module_that_fails_its_laws(g2):
+    good = hm.K_omega(g2.bim, 1)
+    bad = dataclasses.replace(good, h=TensorMap((4, 4), (4,), Mat.zeros(4, 16)))
+    laws = hm.check_mixed_bimodule(g2.bim, g2.entwining, bad)
+    assert not laws.passed
+    antipode = antipode_of(g2)
+    with pytest.raises(PrerequisiteAxiomFailed) as exc:
+        hm.coinvariants(g2.bim, g2.entwining, antipode, bad)
+    assert exc.value.axiom_ids == tuple(laws.failed_ids())
+    # laws handed in by the caller gate the computation in the same way
+    with pytest.raises(PrerequisiteAxiomFailed):
+        hm.coinvariants(g2.bim, g2.entwining, antipode, good, laws=laws)
+
+
+def test_roundtrip_refuses_an_induced_module_that_fails_its_laws(
+        g2, monkeypatch):
+    broken = AxiomReport([AxiomEntry("mod.assoc", False, (0, 0))])
+    check = hm.check_mixed_bimodule
+    monkeypatch.setattr(hm, "check_mixed_bimodule", lambda bim, ent, mod:
+                        broken if mod.name.startswith("induced")
+                        else check(bim, ent, mod))
+    with pytest.raises(PrerequisiteAxiomFailed) as exc:
+        hm.fundamental_roundtrip(g2.bim, g2.entwining, g2.base,
+                                 antipode_of(g2), hm.K_omega(g2.bim, 1))
+    assert exc.value.axiom_ids == ("mod.assoc",)
 
 
 def test_roundtrip_on_k_omega_two(g2):

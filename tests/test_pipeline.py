@@ -1,12 +1,15 @@
-"""The Pipeline runs the axiom gate once per verdict and per CLI command."""
+"""The Pipeline runs the axiom gate once per verdict and per CLI command, and
+checks each antipode and each module once."""
 
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from weakhopf import bimonad, cli, hopf, pipeline
+from weakhopf import bimonad, cli, hopf, hopfmodules, pipeline
 from weakhopf import instances as inst
 from weakhopf.errors import NotIdempotent
 from weakhopf.pipeline import Pipeline
@@ -83,3 +86,67 @@ def test_entwining_stage_refuses_a_kappa_that_is_not_idempotent(monkeypatch):
     assert not pipe.failed_axioms
     with pytest.raises(NotIdempotent):
         pipe.entwining
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls of the checks that must run once per antipode and per
+    module; callers in the library reach them through these module names."""
+    counts = dict.fromkeys(["check_antipode", "coinvariants",
+                            "check_mixed_bimodule"], 0)
+    for module, name in ((hopf, "check_antipode"),
+                         (hopfmodules, "coinvariants"),
+                         (hopfmodules, "check_mixed_bimodule")):
+        def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_verdict_checks_the_antipode_and_each_module_once(calls, gate_calls):
+    verdict = hopf.fundamental_verdict(inst.BUILTINS["g2"]())
+    assert verdict.antipode_report.passed and verdict.roundtrip_report.passed
+    # the modules are K_omega(1) and the module induced from its coinvariants
+    assert calls == {"check_antipode": 1, "coinvariants": 2,
+                     "check_mixed_bimodule": 2}
+    assert len(gate_calls) == 1
+
+
+@pytest.mark.parametrize("command, want", [
+    ("antipode", {"check_antipode": 1, "coinvariants": 0,
+                  "check_mixed_bimodule": 0}),
+    ("hopfmod", {"check_antipode": 1, "coinvariants": 2,
+                 "check_mixed_bimodule": 2}),
+])
+def test_cli_checks_the_antipode_and_each_module_once(command, want, calls,
+                                                      gate_calls, tmp_path,
+                                                      capsys):
+    assert cli.main(_argv(command, DATA / "g2.instance", tmp_path)) == 0
+    assert calls == want
+    assert len(gate_calls) == 1
+
+
+def _verdict_summary(name):
+    verdict = hopf.fundamental_verdict(inst.BUILTINS[name]())
+    reports = [verdict.antipode_report, verdict.roundtrip_report]
+    return (verdict.hopf, verdict.gamma_rank, verdict.gamma_prime_rank,
+            verdict.linear_status,
+            None if verdict.antipode is None else verdict.antipode.map,
+            [None if r is None else [(e.axiom_id, e.holds) for e in r.entries]
+             for r in reports])
+
+
+def test_verdicts_in_threads_equal_a_sequential_run():
+    # the library holds no process-global state that a thread could change;
+    # a short switch interval interleaves the threads finely
+    names = ["z2", "g2", "nz"] * 2
+    sequential = [_verdict_summary(name) for name in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(_verdict_summary, names, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
