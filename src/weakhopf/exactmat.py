@@ -1,10 +1,12 @@
 """Exact rational sparse matrix kernel.
 
 A matrix is stored as one ``{col: value}`` map per row, and no exact zero is
-ever stored.  Products, Kronecker products and identity whiskers therefore
-cost in proportion to the nonzeros: ``mul`` is the row-wise sparse product
-(Gustavson, ACM TOMS 1978), and ``kron`` and ``whisker`` emit only products
-of nonzeros.
+ever stored.  Products and identity whiskers therefore cost in proportion to
+the nonzeros: ``mul`` is the row-wise sparse product (Gustavson, ACM TOMS
+1978), and ``whisker`` builds ``I (x) g (x) I`` from the nonzeros of g.
+``whisker_mul`` and ``mul_whisker`` multiply by such a whisker from the left
+or the right without building it; the tensor layer composes its chains of
+whiskered maps through them, so no Kronecker product is ever materialised.
 
 Entries are ``fractions.Fraction`` values (plain ints are accepted as exact
 rationals; they mix freely under arithmetic).  An integral Fraction is always
@@ -229,42 +231,101 @@ def mul(a: Mat, b: Mat) -> Mat:
         _row_times(arow, brows) if arow else {} for arow in a.rowmaps))
 
 
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; the left factor is most significant in index order."""
-    bcols = b.cols
-    out = []
-    for arow in a.rowmaps:
-        for brow in b.rowmaps:
-            row = {}
-            scaled = False
-            if brow:
-                for j1, av in arow.items():
-                    off = j1 * bcols
-                    if av.__class__ is int and av == 1:
-                        for j2, bv in brow.items():
-                            row[off + j2] = bv
-                    else:
-                        scaled = True
-                        for j2, bv in brow.items():
-                            row[off + j2] = av * bv
-            out.append(_nonzero(row) if scaled else row)
-    return _make(a.rows * b.rows, a.cols * bcols, tuple(out))
-
-
 def whisker(m: Mat, left: int, right: int) -> Mat:
-    """kron(identity(left), m, identity(right)), built from the nonzeros of m."""
+    """I_left (x) m (x) I_right, built from the nonzeros of m."""
     if left == 1 and right == 1:
         return m
+    empty = {}  # row maps are never mutated, so one can be shared
     out = []
     for i in range(left):
         off = i * m.cols
         for row in m.rowmaps:
-            if right == 1:
+            if not row:
+                out += [empty] * right
+            elif right == 1:
                 out.append({off + c: v for c, v in row.items()} if off else row)
             else:
-                for k in range(right):
-                    out.append({(off + c) * right + k: v for c, v in row.items()})
+                terms = [((off + c) * right, v) for c, v in row.items()]
+                out += [{o + k: v for o, v in terms} for k in range(right)]
     return _make(left * m.rows * right, left * m.cols * right, tuple(out))
+
+
+def whisker_mul(g: Mat, left: int, right: int, x: Mat) -> Mat:
+    """The product whisker(g, left, right) * x, without building the whisker.
+
+    For each (a, b) the rows (a, k, b) of x form a block, and row (a, i, b)
+    of the result is row i of g times that block, as in :func:`mul`: a row
+    of g holding one unit entry shares the block's row.
+    """
+    gcols = g.cols
+    span = gcols * right
+    if x.rows != left * span:
+        raise DimensionMismatch(f"whisker of {g.rows}x{gcols} by "
+                                f"({left}, {right}) @ {x.rows}x{x.cols}")
+    if left == right == 1:
+        return mul(g, x)
+    xrows, grows = x.rowmaps, g.rowmaps
+    empty = {}  # row maps are never mutated, so one can be shared
+    out = []
+    for a in range(left):
+        start = a * span
+        blocks = [xrows[start + b:start + span:right] for b in range(right)]
+        out += [_row_times(grow, block) if grow else empty
+                for grow in grows for block in blocks]
+    return _make(left * g.rows * right, x.cols, tuple(out))
+
+
+def mul_whisker(x: Mat, g: Mat, left: int, right: int) -> Mat:
+    """The product x * whisker(g, left, right), without building the whisker.
+
+    Column (a, i, b) of x meets row i of g: its entry w adds w * g[i, k] at
+    column (a, k, b) of the result.  A row of x holding at least half its
+    columns is read by walking (a, i, b) in index order; a sparser one splits
+    the index of each of its entries instead.
+    """
+    grows, growcount, gcols = g.rowmaps, g.rows, g.cols
+    ncols = x.cols
+    if ncols != left * growcount * right:
+        raise DimensionMismatch(f"{x.rows}x{ncols} @ whisker of "
+                                f"{growcount}x{gcols} by ({left}, {right})")
+    if left == right == 1:
+        return mul(x, g)
+    out = []
+    for xrow in x.rowmaps:
+        acc = {}
+        if 2 * len(xrow) < ncols:
+            for j, w in xrow.items():
+                ai, b = divmod(j, right)
+                a, i = divmod(ai, growcount)
+                off = a * gcols * right + b
+                for k, v in grows[i].items():
+                    c = off + k * right
+                    if c in acc:
+                        acc[c] += w * v
+                    else:
+                        acc[c] = w * v
+        else:
+            get = xrow.get
+            j = 0
+            for a in range(left):
+                base = a * gcols
+                for grow in grows:
+                    if not grow:
+                        j += right
+                        continue
+                    for b in range(right):
+                        w = get(j)
+                        j += 1
+                        if w is None:
+                            continue
+                        for k, v in grow.items():
+                            c = (base + k) * right + b
+                            if c in acc:
+                                acc[c] += w * v
+                            else:
+                                acc[c] = w * v
+        out.append(_nonzero(acc))
+    return _make(x.rows, left * gcols * right, tuple(out))
 
 
 def _hstack(a: Mat, b: Mat) -> Mat:

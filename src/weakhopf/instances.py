@@ -15,6 +15,7 @@ Generators:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -225,10 +226,16 @@ BUILTINS = {"g2": g2, "k2": k2, "z2": z2, "sl": sl, "nz": nz}
 _EXPECTED_KEYS = {"base_dim", "tensor_dim", "gamma_rank"}
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 @lru_cache(maxsize=4096)
 def _rational(value):
     # instance files repeat a few literals; a Fraction is immutable, so one
     # parsed value can be shared by every entry that spells it
+    if value.__class__ is str and not _RATIONAL.fullmatch(value):
+        # Fraction would also take "1e999999", an integer of 3.3 M bits
+        raise ValueError("not of the form -?d+ or -?d+/d+")
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
@@ -354,7 +361,8 @@ def check_max_dim(n: int, max_dim) -> None:
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # also an int literal over Python's digit limit, or bytes not UTF-8
         raise SchemaError(f"not valid JSON: {exc}", str(path)) from None
 
 
@@ -391,7 +399,8 @@ def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
     grading = doc.get("grading")
     if grading is not None:
         if (not isinstance(grading, list) or len(grading) != n
-                or any(g not in (0, 1) for g in grading)):
+                or any(g.__class__ is not int or g not in (0, 1)
+                       for g in grading)):
             raise SchemaError("grading must be a 0/1 list of length dim", "grading")
     tau_field = doc.get("tau")
     if tau_field is None:
@@ -450,6 +459,9 @@ def load_module(path, bim: WeakBraidedBimonad, max_dim=None):
         raise SchemaError(
             f"module dim {d} exceeds --max-dim {max_dim} times the instance "
             f"dim {n}; raise the guard explicitly for large modules", "dim")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError("name must be a string", "name")
     h_tab = _read_table(doc, "h", 3, (n, d, d))
     th_tab = _read_table(doc, "theta", 3, (n, d, d))
     h_entries = {}
@@ -460,7 +472,7 @@ def load_module(path, bim: WeakBraidedBimonad, max_dim=None):
         th_entries[(i * d + j, k)] = v
     h = TensorMap((n, d), (d,), Mat.from_entries(d, n * d, h_entries))
     theta = TensorMap((d,), (n, d), Mat.from_entries(n * d, d, th_entries))
-    return MixedBimodule(dim=d, h=h, theta=theta, name=doc.get("name", ""))
+    return MixedBimodule(dim=d, h=h, theta=theta, name=name)
 
 
 def save_module(mod, bim: WeakBraidedBimonad, path) -> str:

@@ -15,7 +15,7 @@ factor applied first); ``⊗`` is the parallel product.  ASCII aliases ``o`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 from . import exactmat
@@ -25,11 +25,21 @@ from .exactmat import Mat
 
 @dataclass(frozen=True)
 class TensorMap:
-    """Linear map prod(dom) -> prod(cod) tagged with its tensor factorization."""
+    """Linear map prod(dom) -> prod(cod) tagged with its tensor factorization.
+
+    The map is held as ``steps``: whiskered factors ``(g, left, right)`` in
+    diagram order, each acting as ``I_left (x) g (x) I_right``.  A map built
+    from a matrix is the one step ``(mat, 1, 1)``; ``lift`` and ``tensor``
+    only rearrange steps, and an identity has none.  ``mat`` is the product
+    of the steps, built on first read and kept, and from then on it is the
+    map's one step.  Threads that read it at once may each build it; they
+    build equal matrices.
+    """
 
     dom: tuple
     cod: tuple
     mat: Mat
+    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mat.cols != prod(self.dom) or self.mat.rows != prod(self.cod):
@@ -37,6 +47,13 @@ class TensorMap:
                 f"matrix {self.mat.rows}x{self.mat.cols} does not match "
                 f"dom {self.dom} cod {self.cod}"
             )
+        self.__dict__["steps"] = ((self.mat, 1, 1),)
+
+    def __getattr__(self, name):
+        # reached only while ``mat`` is not built: maps made by _chain
+        if name != "mat":
+            raise AttributeError(name)
+        return _build(self)
 
     def base_dim(self):
         """Common factor dimension for maps between powers of one carrier."""
@@ -57,9 +74,29 @@ class TensorMap:
         return f"TensorMap({self.dom}->{self.cod})"
 
 
+def _chain(dom, cod, steps) -> TensorMap:
+    """The map dom -> cod made of the given steps; its matrix is not built."""
+    f = object.__new__(TensorMap)
+    f.__dict__.update(dom=dom, cod=cod, steps=steps)
+    return f
+
+
+def _build(f: TensorMap) -> Mat:
+    """Build f's matrix from its steps and keep it, as f's one step too."""
+    steps = f.steps
+    if not steps:
+        mat = Mat.identity(prod(f.dom))
+    else:
+        mat = (exactmat.whisker(*steps[0]) if len(steps) == 1
+               else _product(prod(f.dom), prod(f.cod), [f]))
+        f.__dict__["steps"] = ((mat, 1, 1),)
+    f.__dict__["mat"] = mat
+    return mat
+
+
 def identity_map(dims) -> TensorMap:
     dims = tuple(dims)
-    return TensorMap(dims, dims, Mat.identity(prod(dims)))
+    return _chain(dims, dims, ())
 
 
 def hmap(n, in_arity, out_arity, mat) -> TensorMap:
@@ -92,15 +129,74 @@ def from_table(n, in_arity, out_arity, entries) -> TensorMap:
     return hmap(n, in_arity, out_arity, Mat.from_entries(rows, cols, grid))
 
 
+def _pad(steps, left, right):
+    """The steps run beside identities of sizes left and right."""
+    if left == right == 1:
+        return steps
+    return tuple([(g, a * left, b * right) for g, a, b in steps])
+
+
 def tensor(*maps: TensorMap) -> TensorMap:
-    """Parallel product; factor dimensions concatenate left to right."""
+    """Parallel product; factor dimensions concatenate left to right.
+
+    f (x) g runs f's steps beside the domain of g and then g's beside the
+    codomain of f, or the other way round when that passes through the
+    smaller middle space.
+    """
     if not maps:
         raise ArityMismatch("tensor of no maps")
     out = maps[0]
     for f in maps[1:]:
-        out = TensorMap(out.dom + f.dom, out.cod + f.cod,
-                        exactmat.kron(out.mat, f.mat))
+        dl, cl, dr, cr = prod(out.dom), prod(out.cod), prod(f.dom), prod(f.cod)
+        if cl * dr <= dl * cr:
+            steps = _pad(out.steps, 1, dr) + _pad(f.steps, cl, 1)
+        else:
+            steps = _pad(f.steps, dl, 1) + _pad(out.steps, 1, cr)
+        out = _chain(out.dom + f.dom, out.cod + f.cod, steps)
     return out
+
+
+def _product(dom_size, cod_size, factors) -> Mat:
+    """The matrix of a chain of maps, their steps applied to one running
+    product.
+
+    The product starts at the smaller end of the chain.  With the smaller
+    or a one-dimensional codomain it runs from the codomain as
+    x * whisker.  A chain from a one-dimensional domain (a unit chain) that
+    passes through a space wider than its codomain runs as the transpose of
+    whisker * x: its running product is then one row, not a column with a
+    row per basis vector of that space.  Transposing every step costs more
+    than it saves on other chains, which run from the domain as
+    whisker * x.
+
+    The factor at the starting end, when it is one step, is read through
+    its matrix, built and kept on first use, so chains that start with the
+    same factor build it once.
+    """
+    steps = [s for f in factors for s in f.steps]
+    if cod_size < dom_size or cod_size == 1:
+        x = _start(factors[-1], steps[-1])
+        for g, left, right in reversed(steps[:-1]):
+            x = exactmat.mul_whisker(x, g, left, right)
+        return x
+    x = _start(factors[0], steps[0])
+    if dom_size == 1 and any(a * g.rows * b > cod_size for g, a, b in steps):
+        x = x.transpose()
+        for g, left, right in steps[1:]:
+            x = exactmat.mul_whisker(x, g.transpose(), left, right)
+        return x.transpose()
+    for g, left, right in steps[1:]:
+        x = exactmat.whisker_mul(g, left, right, x)
+    return x
+
+
+def _start(f: TensorMap, step) -> Mat:
+    """The matrix a running product starts from: f's own, built and kept on
+    first use, when f is one step, else the whisker of f's given step."""
+    if len(f.steps) > 1:
+        return exactmat.whisker(*step)
+    mat = f.__dict__.get("mat")
+    return _build(f) if mat is None else mat
 
 
 def compose(chain) -> TensorMap:
@@ -108,22 +204,29 @@ def compose(chain) -> TensorMap:
     chain = list(chain)
     if not chain:
         raise ArityMismatch("compose of empty chain")
-    out = chain[0]
-    for k, f in enumerate(chain[1:], start=1):
-        if f.dom != out.cod:
+    prev = chain[0]
+    for k in range(1, len(chain)):
+        f = chain[k]
+        if f.dom != prev.cod:
             raise ArityMismatch(
-                f"compose: step {k - 1} has cod {out.cod} but step {k} "
+                f"compose: step {k - 1} has cod {prev.cod} but step {k} "
                 f"has dom {f.dom}"
             )
-        out = TensorMap(out.dom, f.cod, exactmat.mul(f.mat, out.mat))
+        prev = f
+    factors = [f for f in chain if f.steps]
+    if len(factors) <= 1:
+        return factors[0] if factors else chain[0]
+    dom, cod = chain[0].dom, prev.cod
+    mat = _product(prod(dom), prod(cod), factors)
+    out = _chain(dom, cod, ((mat, 1, 1),))
+    out.__dict__["mat"] = mat
     return out
 
 
 def lift(f: TensorMap, left: int, right: int) -> TensorMap:
     """Whisker with identities: id^left (x) f (x) id^right.
 
-    Built from the nonzeros of f, never through a Kronecker product with an
-    identity matrix.
+    Each step of f is whiskered; no matrix is built.
     """
     if left == 0 and right == 0:
         return f
@@ -131,8 +234,8 @@ def lift(f: TensorMap, left: int, right: int) -> TensorMap:
     if n is None:
         raise ArityMismatch("cannot infer carrier dimension for a scalar map")
     ids_l, ids_r = (n,) * left, (n,) * right
-    return TensorMap(ids_l + f.dom + ids_r, ids_l + f.cod + ids_r,
-                     exactmat.whisker(f.mat, n ** left, n ** right))
+    return _chain(ids_l + f.dom + ids_r, ids_l + f.cod + ids_r,
+                  _pad(f.steps, n ** left, n ** right))
 
 
 def flip_map(n) -> TensorMap:

@@ -3,11 +3,12 @@ import dataclasses
 import pytest
 
 from weakhopf import bimonad as bm
+from weakhopf import exactmat
 from weakhopf import instances as inst
 from weakhopf.bimonad import Algebra, Coalgebra, WeakYBPair
 from weakhopf.errors import PrerequisiteAxiomFailed, TauPrimeRequired
 from weakhopf.exactmat import Mat
-from weakhopf.tensorexpr import compose, flip_map, hmap, identity_map
+from weakhopf.tensorexpr import TensorMap, compose, flip_map, hmap, identity_map
 
 
 def mutate_map(f, row, col, value):
@@ -93,3 +94,47 @@ def test_seven_wbb_entry_ids(g2):
 
 def test_z2_has_trivial_nabla(z2):
     assert z2.bim.nabla == identity_map((2, 2))
+
+
+def test_wbb6_and_wbb7_build_no_matrix_above_n_cubed_rows(monkeypatch):
+    # the counit and unit chains pass through H^4; compose keeps them as
+    # row vectors instead of building the n^4-row lifts and tensor products
+    n = 7
+    bim = inst.group_algebra(inst.cyclic_group_table(n))
+    rows, marks = [], {}
+    init, add = exactmat._init, bm.AxiomReport.add
+
+    def recording_init(mat, nrows, ncols, rowmaps):
+        rows.append(nrows)
+        init(mat, nrows, ncols, rowmaps)
+
+    def marking_add(report, entry):
+        marks[entry.axiom_id] = len(rows)
+        add(report, entry)
+
+    monkeypatch.setattr(exactmat, "_init", recording_init)
+    monkeypatch.setattr(bm.AxiomReport, "add", marking_add)
+    report = bm.check_weak_braided_bimonad(bim)
+    assert report.passed
+    built = rows[marks["wbb5"]:marks["wbb7"]]
+    assert len(built) > 10
+    assert max(built) <= n ** 3
+
+
+def _yb_rows(report):
+    return [(e.axiom_id, e.holds, e.witness) for e in report.entries]
+
+
+@pytest.mark.parametrize("tau", [
+    flip_map(3),
+    # an involution that breaks Yang-Baxter: swap b_0 (x) b_1 and b_1 (x) b_1
+    hmap(2, 2, 2, Mat.from_entries(4, 4, {(0, 0): 1, (3, 1): 1, (1, 3): 1,
+                                          (2, 2): 1})),
+])
+def test_involutive_tau_reuses_its_entries_for_tau_prime(tau):
+    yb = WeakYBPair.make(tau)
+    assert yb.tau_prime is yb.tau
+    # an equal tau_prime that is another object takes the computing path
+    twin = WeakYBPair.make(tau, TensorMap(tau.dom, tau.cod, tau.mat))
+    assert twin.tau_prime is not twin.tau
+    assert _yb_rows(bm.check_weak_yb(yb)) == _yb_rows(bm.check_weak_yb(twin))

@@ -1,5 +1,7 @@
 import json
+import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +39,7 @@ def test_check_passes_on_good_instance(g2_file, capsys):
 
 
 def test_check_fails_with_named_axiom(tmp_path, g2_file, capsys):
-    doc = json.loads(open(g2_file).read())
+    doc = json.loads(Path(g2_file).read_text())
     doc["eps"] = [[i, "2"] for i in range(4)]
     del doc["expected"]
     broken = tmp_path / "broken.instance"
@@ -147,7 +149,7 @@ def test_structured_report_round_trips_through_renderer(g2_file, tmp_path,
 
 
 def test_check_flags_expected_block_mismatch(tmp_path, g2_file, capsys):
-    doc = json.loads(open(g2_file).read())
+    doc = json.loads(Path(g2_file).read_text())
     doc["expected"]["gamma_rank"] = 7
     pinned = tmp_path / "pinned.instance"
     pinned.write_text(json.dumps(doc))
@@ -223,3 +225,38 @@ def test_gen_max_dim_refuses_requested_size(tmp_path, capsys):
     assert not out_file.exists()
     assert cli.main(["gen", "groupoid", "--objects", "4", "--full",
                      "--out", str(out_file)]) == 2
+
+
+@pytest.mark.parametrize("literal", ["1e999999", "1.5", " 1", "0x10", "1_000",
+                                     "1/-2", "inf"])
+def test_literals_outside_the_documented_syntax_exit_2_at_once(
+        tmp_path, literal, capsys):
+    # Fraction("1e999999") would build an integer of about 3.3 M bits
+    doc = {"name": "exp", "dim": 1, "m": [[0, 0, 0, literal]],
+           "e": [[0, 1]], "delta": [[0, 0, 0, 1]], "eps": [[0, 1]],
+           "tau": "flip"}
+    path = tmp_path / "exp.instance"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli.main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "rational literal" in capsys.readouterr().err
+
+
+def test_int_literal_over_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "long.instance"
+    path.write_text('{"name": "long", "dim": 1, "m": [[0, 0, 0, 1'
+                    + "0" * 5000 + ']], "tau": "flip"}')
+    assert cli.main(["check", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_hopfmod_refuses_a_module_name_that_is_not_a_string(
+        g2_file, tmp_path, capsys):
+    doc = json.loads(data_path("g2_free.module").read_text())
+    doc["name"] = ["not", "a", "string"]
+    module = tmp_path / "named.module"
+    module.write_text(json.dumps(doc))
+    code, out = run(["hopfmod", g2_file, str(module)], capsys)
+    assert code == 2
+    assert out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from weakhopf.exactmat import (
     cokernel_projection,
     invert,
     kernel_basis,
-    kron,
     mul,
     rank,
     rref,
@@ -20,9 +20,17 @@ from weakhopf.exactmat import (
     solve,
     split_idempotent,
 )
-from weakhopf.tensorexpr import TensorMap, lift
+from weakhopf.tensorexpr import TensorMap, compose, identity_map, lift, tensor
 
 F = Fraction
+
+
+def kron(a, b):
+    """The Kronecker product, as the matrix of the tensor product of maps."""
+    def as_map(m):
+        return TensorMap((m.cols,), (m.rows,), m)
+
+    return tensor(as_map(a), as_map(b)).mat
 
 
 def perm_mat(perm):
@@ -402,6 +410,93 @@ def test_lift_equals_dense_kron_with_identities(f, left, right):
     assert rows_of(lifted.mat) == want
     assert lifted.dom == (n,) * left + f.dom + (n,) * right
     assert lifted.cod == (n,) * left + f.cod + (n,) * right
+
+
+def dense_eye(size):
+    return [[F(int(i == j)) for j in range(size)] for i in range(size)]
+
+
+@st.composite
+def chains(draw, shape):
+    """A compose chain of plain maps, lifts, tensors and identities between
+    powers of one carrier, with the dense matrix of each map.
+
+    ``shape`` fixes how the chain's domain compares with its codomain:
+    "smaller", "larger" or "equal".
+    """
+    n = draw(st.integers(2, 3))
+    length = draw(st.integers(1, 4))
+    first = draw(st.integers(0, 3))
+    if shape == "equal":
+        last = first
+    elif shape == "smaller":
+        first = min(first, 2)
+        last = draw(st.integers(first + 1, 3))
+    else:
+        first = max(first, 1)
+        last = draw(st.integers(0, first - 1))
+    arities = [first] + [draw(st.integers(0, 3))
+                         for _ in range(length - 1)] + [last]
+
+    def plain(a, b):
+        return TensorMap((n,) * a, (n,) * b,
+                         draw(sparse_mats(rows=n ** b, cols=n ** a)))
+
+    chain, dense = [], []
+    for a, b in zip(arities, arities[1:]):
+        kind = draw(st.sampled_from(["plain", "lift", "tensor", "identity"]))
+        if kind == "identity" and a == b:
+            f = identity_map((n,) * a)
+            want = dense_eye(n ** a)
+        elif kind == "lift" and min(a, b) > 0:
+            left = draw(st.integers(0, min(a, b) - 1))
+            right = draw(st.integers(0, min(a, b) - 1 - left))
+            g = plain(a - left - right, b - left - right)
+            f = lift(g, left, right)
+            want = dense_kron(dense_kron(dense_eye(n ** left), rows_of(g.mat)),
+                              dense_eye(n ** right))
+        elif kind == "tensor":
+            p, q = draw(st.integers(0, a)), draw(st.integers(0, b))
+            g, h = plain(p, q), plain(a - p, b - q)
+            f = tensor(g, h)
+            want = dense_kron(rows_of(g.mat), rows_of(h.mat))
+        else:
+            f = plain(a, b)
+            want = rows_of(f.mat)
+        if draw(st.booleans()):
+            assert rows_of(f.mat) == want  # a built matrix is reused
+        chain.append(f)
+        dense.append(want)
+    return chain, dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["smaller", "larger", "equal"]).flatmap(chains))
+def test_compose_matches_the_dense_product(chain_and_dense):
+    chain, dense = chain_and_dense
+    want = dense[0]
+    for step in dense[1:]:
+        want = dense_mul(step, want, len(want[0]))
+    got = compose(chain)
+    assert (got.dom, got.cod) == (chain[0].dom, chain[-1].cod)
+    assert rows_of(got.mat) == want
+    for f, rows in zip(chain, dense):
+        assert rows_of(f.mat) == rows
+
+
+def test_every_tensor_map_takes_a_replaced_matrix():
+    m = Mat.from_rows([[1, 2, 0, 1], [0, 1, 3, 0]])
+    f = TensorMap((2, 2), (2,), m)
+    maps = [f, lift(f, 1, 0), tensor(f, f), identity_map((2, 2)),
+            compose([lift(f, 0, 1), f])]
+    for tm in maps:
+        new = tm.mat.scale(3)
+        replaced = dataclasses.replace(tm, mat=new)
+        assert (replaced.dom, replaced.cod) == (tm.dom, tm.cod)
+        assert replaced.mat is new and replaced.steps == ((new, 1, 1),)
+        assert compose([identity_map(tm.dom), replaced]) == replaced
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(maps[1], mat=m)
 
 
 @given(st.data())

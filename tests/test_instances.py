@@ -231,6 +231,24 @@ def test_grading_only_with_flip(tmp_path):
         inst.load(path)
 
 
+@pytest.mark.parametrize("grading", [[True, 0], [1.0, 0], [0, 2], [0]])
+def test_grading_entries_must_be_the_ints_0_or_1(tmp_path, grading):
+    doc = {
+        "name": "graded", "dim": 2,
+        "m": [[0, 0, 0, "1"]],
+        "e": [[0, "1"]],
+        "delta": [[0, 0, 0, "1"]],
+        "eps": [[0, "1"]],
+        "tau": "flip",
+        "grading": grading,
+    }
+    path = tmp_path / "graded.instance"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        inst.load(path)
+    assert err.value.locator == "grading"
+
+
 def test_shipped_files_match_builtins():
     from importlib import resources
 

@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -165,3 +167,30 @@ def test_parse_unknown_name_and_arity_error(g2):
 def test_tensor_map_shape_guard():
     with pytest.raises(Exception):
         TensorMap((2,), (2,), Mat.zeros(3, 2))
+
+
+def test_threads_reading_one_lazy_matrix_get_equal_results():
+    # two threads may both build a map's matrix on first read; each must
+    # build the same one, and compose must not see a half-built map
+    bim = inst.g2()
+
+    def shared_maps():
+        return [lift(bim.delta, 1, 1), tensor(bim.m, bim.m),
+                tensor(bim.delta, bim.delta), lift(bim.tau, 0, 1),
+                identity_map((4, 4))]
+
+    def read(maps):
+        return ([compose([maps[2], maps[1]]).mat,
+                 compose([maps[3], maps[0]]).mat]
+                + [f.mat for f in maps])
+
+    want = read(shared_maps())
+    maps = shared_maps()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(read, [maps] * 16, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 16
