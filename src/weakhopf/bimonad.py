@@ -272,23 +272,24 @@ def check_weak_braided_bimonad(bim: WeakBraidedBimonad) -> AxiomReport:
                        compose([m, delta]),
                        compose([tensor(delta, delta), lift(tau, 1, 1),
                                 tensor(m, m)])))
-    counit_lhs = compose([lift(delta, 1, 1), tensor(m, m), tensor(eps, eps)])
-    counit_mid = compose([lift(m, 0, 1), m, eps])
-    counit_rhs = compose([lift(delta, 1, 1), lift(tp, 1, 1),
-                          tensor(m, m), tensor(eps, eps)])
-    report.add(compare_all("wbb6", [
-        (counit_lhs, counit_mid),
-        (counit_rhs, counit_mid),
-    ]))
-    unit_lhs = compose([tensor(e, e), tensor(delta, delta), lift(m, 1, 1)])
-    unit_mid = compose([e, delta, lift(delta, 0, 1)])
-    unit_rhs = compose([tensor(e, e), tensor(delta, delta), lift(tp, 1, 1),
-                        lift(m, 1, 1)])
-    report.add(compare_all("wbb7", [
-        (unit_lhs, unit_mid),
-        (unit_rhs, unit_mid),
-    ]))
+    report.add(compare_all("wbb6", _counit_chains(m, delta, eps, tp)))
+    # the unit chains are the counit chains of H*, transposed back
+    t = tx.transpose
+    unit = _counit_chains(t(delta), t(m), t(e), t(tp))
+    report.add(compare_all("wbb7", [(t(lhs), t(rhs)) for lhs, rhs in unit]))
     return report
+
+
+def _counit_chains(m, delta, eps, tp):
+    """wbb6 as (lhs, rhs) pairs: eps . m . (m (x) id) equals
+    (eps (x) eps) . (m (x) m) . (id (x) delta (x) id), also with
+    id (x) tp (x) id after the delta."""
+    mid = compose([lift(m, 0, 1), m, eps])
+    return [
+        (compose([lift(delta, 1, 1), tensor(m, m), tensor(eps, eps)]), mid),
+        (compose([lift(delta, 1, 1), lift(tp, 1, 1), tensor(m, m),
+                  tensor(eps, eps)]), mid),
+    ]
 
 
 def check_instance(bim: WeakBraidedBimonad) -> dict:

@@ -3,7 +3,9 @@
 Factor-through-quotient is implemented by composing with the deterministic
 section of the projection and verifying the factorization identity
 afterwards; a failed verification raises FactorizationFailed, never a silent
-acceptance.  Invertibility means square and full rank over the rationals.
+acceptance.  The cotensor and gamma_prime are the transposes of a tensor
+over the base and its gamma, so inclusions are never solved for.
+Invertibility means square and full rank over the rationals.
 
     gamma       : H (x)_{base} H  -> Gbar     with  gamma . l = pbar . sigma
     gamma_prime : Tbar -> H (x)^{base} H      with  can . gamma_prime
@@ -20,8 +22,9 @@ from .baseobject import ActionData, BaseObject
 from .bimonad import AxiomReport, WeakBraidedBimonad, compare
 from .entwining import EntwiningData
 from .errors import FactorizationFailed, InconsistencyError, NotInvertible
-from .exactmat import Mat, cokernel_projection, kernel_basis
-from .tensorexpr import TensorMap, compose, identity_map, lift, tensor
+from .exactmat import Mat, cokernel_projection
+from .tensorexpr import (TensorMap, compose, identity_map, lift, tensor,
+                         transpose)
 
 
 @dataclass(frozen=True)
@@ -49,25 +52,21 @@ class GaloisData:
         return self.gamma_prime.dom[0]
 
 
-def _factor_through_surjection(target: TensorMap, proj: TensorMap,
-                               what: str) -> TensorMap:
-    """Unique g with g . proj = target, computed via the section of proj."""
+def _factor_through_surjection(
+        target: TensorMap, proj: TensorMap, what: str,
+        failure: str = "map does not factor through quotient") -> TensorMap:
+    """Unique g with g . proj = target, computed via the section of proj.
+
+    For proj the cokernel of some relations, g . proj = target holds exactly
+    when target vanishes on them; otherwise FactorizationFailed(failure).
+    """
     sec = exactmat.section(proj.mat)
     if sec is None:
         raise FactorizationFailed(f"{what}: projection is not surjective")
     g = TensorMap(proj.cod, target.cod, exactmat.mul(target.mat, sec))
     if not (exactmat.mul(g.mat, proj.mat) - target.mat).is_zero_mat():
-        raise FactorizationFailed(f"{what}: map does not factor through quotient")
+        raise FactorizationFailed(f"{what}: {failure}")
     return g
-
-
-def _factor_through_injection(target: TensorMap, incl: TensorMap,
-                              what: str) -> TensorMap:
-    """Unique g with incl . g = target."""
-    g_mat = exactmat.solve(incl.mat, target.mat)
-    if g_mat is None:
-        raise FactorizationFailed(f"{what}: map does not land in the subobject")
-    return TensorMap(target.dom, incl.dom, g_mat)
 
 
 def _invertibility(mat: Mat):
@@ -87,18 +86,15 @@ def build_tensor_over_base(bim: WeakBraidedBimonad, relations: Mat):
     return TensorMap((bim.n, bim.n), (t,), proj), t
 
 
-def build_gamma(bim: WeakBraidedBimonad, ent: EntwiningData, l: TensorMap,
-                relations: Mat):
+def build_gamma(bim: WeakBraidedBimonad, ent: EntwiningData, l: TensorMap):
     """gamma with gamma . l = pbar . sigma, plus the report entry of the
     precomposition identity pbar . delta = gamma . l . (id (x) e)."""
     one = bim.id1()
     pbar = ent.pbar()
-    pbar_sigma = compose([ent.sigma, pbar])
-    if not exactmat.mul(pbar_sigma.mat, relations).is_zero_mat():
-        raise FactorizationFailed(
-            "gamma: pbar.sigma does not annihilate the tensor relations "
-            "(instance is not a weak braided bimonad)")
-    gamma = _factor_through_surjection(pbar_sigma, l, "gamma")
+    gamma = _factor_through_surjection(
+        compose([ent.sigma, pbar]), l, "gamma",
+        "pbar.sigma does not annihilate the tensor relations "
+        "(instance is not a weak braided bimonad)")
     fund0 = compare("gal.fund0",
                     compose([bim.delta, pbar]),
                     compose([tensor(one, bim.e), l, gamma]))
@@ -108,20 +104,19 @@ def build_gamma(bim: WeakBraidedBimonad, ent: EntwiningData, l: TensorMap,
 
 
 def build_cotensor_and_gamma_prime(bim: WeakBraidedBimonad, ent: EntwiningData,
-                                   base: BaseObject, acts: ActionData):
-    """Cotensor as kernel of (theta_r (x) id - id (x) theta_l) and the
-    induced gamma_prime with can . gamma_prime = sigmabar . ibar_prime."""
+                                   acts: ActionData):
+    """Cotensor as kernel of (theta_r (x) id - id (x) theta_l), its inclusion
+    can and gamma_prime with can . gamma_prime = sigmabar . ibar_prime,
+    built as the transposes of the tensor over the base of the transposed
+    co-relations and of gamma there, from comodule-side maps only."""
     one = bim.id1()
-    diff = tensor(acts.theta_r, one).mat - tensor(one, acts.theta_l).mat
-    basis = kernel_basis(diff)
-    c = basis.cols
-    can = TensorMap((c,), (bim.n, bim.n), basis)
-    sbar_i = compose([ent.ibar_prime(), ent.sigmabar])
-    if not exactmat.mul(diff, sbar_i.mat).is_zero_mat():
-        raise FactorizationFailed(
-            "gamma_prime: sigmabar.ibar_prime does not land in the cotensor")
-    gamma_prime = _factor_through_injection(sbar_i, can, "gamma_prime")
-    return can, gamma_prime, c
+    corelations = (tensor(transpose(acts.theta_r), one).mat
+                   - tensor(one, transpose(acts.theta_l)).mat)
+    l_dual, c = build_tensor_over_base(bim, corelations)
+    gamma_dual = _factor_through_surjection(
+        transpose(compose([ent.ibar_prime(), ent.sigmabar])), l_dual,
+        "gamma_prime", "sigmabar.ibar_prime does not land in the cotensor")
+    return transpose(l_dual), transpose(gamma_dual), c
 
 
 def build_q_tilde(bim: WeakBraidedBimonad, base: BaseObject, l: TensorMap):
@@ -146,10 +141,9 @@ def build_galois(bim: WeakBraidedBimonad, ent: EntwiningData, base: BaseObject,
                  acts: ActionData) -> GaloisData:
     """Assemble the full Galois data with the module-structure identities."""
     one = bim.id1()
-    relations = tensor_relations(bim, acts)
-    l, t = build_tensor_over_base(bim, relations)
-    gamma, fund0 = build_gamma(bim, ent, l, relations)
-    can, gamma_prime, c = build_cotensor_and_gamma_prime(bim, ent, base, acts)
+    l, t = build_tensor_over_base(bim, tensor_relations(bim, acts))
+    gamma, fund0 = build_gamma(bim, ent, l)
+    can, gamma_prime, c = build_cotensor_and_gamma_prime(bim, ent, acts)
     q_tilde, zeta = build_q_tilde(bim, base, l)
 
     report = AxiomReport()

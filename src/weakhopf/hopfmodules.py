@@ -2,7 +2,8 @@
 
 Carriers are explicit finite-dimensional spaces with structure matrices; all
 functor-level statements are evaluated objectwise.  Induced structures on
-quotients are built by factor-and-verify, mirroring the galois policy.
+quotients are built by factor-and-verify, mirroring the galois policy.  The
+induced monad at a comodule is the induced comonad on H*, transposed back.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .errors import (
 from .exactmat import kernel_basis, same_column_span, split_idempotent
 from .galois import _factor_through_surjection
 from .hopf import Antipode
-from .tensorexpr import TensorMap, compose, identity_map, tensor
+from .instances import dual_instance
+from .tensorexpr import TensorMap, compose, identity_map, tensor, transpose
 
 
 @dataclass(frozen=True)
@@ -130,31 +132,6 @@ def K_omega(bim: WeakBraidedBimonad, d: int) -> MixedBimodule:
     return MixedBimodule(dim=n * d, h=h, theta=theta, name=f"K_omega({d})")
 
 
-def _gamma_at_module(bim, ent, h: TensorMap, d: int) -> TensorMap:
-    # Gamma = (id (x) h) . (omega (x) id) . (e (x) id (x) id) on H(carrier)
-    one = bim.id1()
-    idd = identity_map((d,))
-    return compose([
-        tensor(bim.e, one, idd), tensor(ent.omega, idd), tensor(one, h),
-    ])
-
-
-def _action_on_split(bim, ent, h, d, p_map, i_map):
-    # p . (id (x) h) . (omega (x) id) . (id (x) i)
-    one = bim.id1()
-    idd = identity_map((d,))
-    return compose([
-        tensor(one, i_map), tensor(ent.omega, idd), tensor(one, h), p_map,
-    ])
-
-
-def _split_maps(split, dom_dims):
-    g = split.rank
-    p_map = TensorMap(dom_dims, (g,), split.p)
-    i_map = TensorMap((g,), dom_dims, split.i)
-    return p_map, i_map
-
-
 def induced_comonad_on_module(bim: WeakBraidedBimonad, ent: EntwiningData,
                               mod: HModule) -> InducedComonad:
     """Split the comonad idempotent Gamma at (a, h) and verify the induced
@@ -163,17 +140,35 @@ def induced_comonad_on_module(bim: WeakBraidedBimonad, ent: EntwiningData,
     law_report = check_module(bim, mod)
     if not law_report.passed:
         raise PrerequisiteAxiomFailed(law_report.failed_ids())
+    gamma, split, act, delta0, eps0, laws = _induced_comonad(
+        bim, ent.omega, mod.h, mod.dim)
+    report = AxiomReport()
+    for axiom_id, lhs, rhs in laws:
+        report.add(compare(axiom_id, lhs, rhs))
+    return InducedComonad(idempotent=gamma, splitting=split, action=act,
+                          delta_component=delta0, eps_component=eps0,
+                          report=report)
+
+
+def _induced_comonad(bim, omega, h0, d0):
+    """Gamma at the module (d0, h0) split, the action on the split object,
+    the comonad components and the (id, lhs, rhs) laws at this object."""
     n = bim.n
     one = bim.id1()
 
     def level(h, d):
-        gamma = _gamma_at_module(bim, ent, h, d)
+        # Gamma = (id (x) h) . (omega (x) id) . (e (x) id (x) id) on H(carrier)
+        idd = identity_map((d,))
+        gamma = compose([tensor(bim.e, one, idd), tensor(omega, idd),
+                         tensor(one, h)])
         split = split_idempotent(gamma.mat)  # raises NotIdempotent: fatal
-        p_map, i_map = _split_maps(split, (n, d))
-        act = _action_on_split(bim, ent, h, d, p_map, i_map)
+        p_map = TensorMap((n, d), (split.rank,), split.p)
+        i_map = TensorMap((split.rank,), (n, d), split.i)
+        # on the split object: p . (id (x) h) . (omega (x) id) . (id (x) i)
+        act = compose([tensor(one, i_map), tensor(omega, idd), tensor(one, h),
+                       p_map])
         return gamma, split, p_map, i_map, act
 
-    d0, h0 = mod.dim, mod.h
     gamma0, split0, p0, i0, act1 = level(h0, d0)
     g1 = split0.rank
     _, split1, p1, i1, act2 = level(act1, g1)
@@ -188,93 +183,62 @@ def induced_comonad_on_module(bim: WeakBraidedBimonad, ent: EntwiningData,
     g_of_eps0 = compose([i1, tensor(one, eps0), p0])
     eps_at_g = compose([i1, tensor(bim.eps, idg1)])
 
-    report = AxiomReport()
-    report.add(compare("ind.action-assoc",
-                       compose([tensor(bim.m, idg1), act1]),
-                       compose([tensor(one, act1), act1])))
-    report.add(compare("ind.action-unit",
-                       compose([tensor(bim.e, idg1), act1]), idg1))
-    report.add(compare("ind.counit-left", compose([delta0, eps_at_g]), idg1))
-    report.add(compare("ind.counit-right", compose([delta0, g_of_eps0]), idg1))
-    report.add(compare("ind.coassoc",
-                       compose([delta0, delta1]),
-                       compose([delta0, g_of_delta0])))
-    report.add(compare("ind.delta-module-morphism",
-                       compose([act1, delta0]),
-                       compose([tensor(one, delta0), act2])))
-    report.add(compare("ind.eps-module-morphism",
-                       compose([act1, eps0]),
-                       compose([tensor(one, eps0), h0])))
-    return InducedComonad(idempotent=gamma0, splitting=split0, action=act1,
-                          delta_component=delta0, eps_component=eps0,
-                          report=report)
+    laws = [
+        ("ind.action-assoc", compose([tensor(bim.m, idg1), act1]),
+         compose([tensor(one, act1), act1])),
+        ("ind.action-unit", compose([tensor(bim.e, idg1), act1]), idg1),
+        ("ind.counit-left", compose([delta0, eps_at_g]), idg1),
+        ("ind.counit-right", compose([delta0, g_of_eps0]), idg1),
+        ("ind.coassoc", compose([delta0, delta1]),
+         compose([delta0, g_of_delta0])),
+        ("ind.delta-module-morphism", compose([act1, delta0]),
+         compose([tensor(one, delta0), act2])),
+        ("ind.eps-module-morphism", compose([act1, eps0]),
+         compose([tensor(one, eps0), h0])),
+    ]
+    return gamma0, split0, act1, delta0, eps0, laws
 
 
-def _gamma_prime_at_comodule(bim, ent, theta: TensorMap, d: int) -> TensorMap:
-    # Gamma' = (eps (x) id (x) id) . (omega (x) id) . (id (x) theta)
-    one = bim.id1()
-    idd = identity_map((d,))
-    return compose([
-        tensor(one, theta), tensor(ent.omega, idd), tensor(bim.eps, one, idd),
-    ])
+# each comonad law on H* at (a, theta^T), transposed, is a monad law at the
+# comodule (a, theta)
+_MONAD_LAW_IDS = {
+    "ind.action-assoc": "ind.coaction-coassoc",
+    "ind.action-unit": "ind.coaction-counit",
+    "ind.counit-left": "ind.unit-left",
+    "ind.counit-right": "ind.unit-right",
+    "ind.coassoc": "ind.assoc",
+    "ind.delta-module-morphism": "ind.m-comodule-morphism",
+    "ind.eps-module-morphism": "ind.e-comodule-morphism",
+}
 
 
 def induced_monad_on_comodule(bim: WeakBraidedBimonad, ent: EntwiningData,
                               com: HComodule) -> InducedMonad:
     """Split the monad idempotent Gamma' at (a, theta) and verify the induced
-    monad component laws at this object."""
+    monad component laws at this object.
+
+    Gamma' is the transpose of Gamma at the module (a, theta^T) of H*, whose
+    omega is omega^T, so the induced comonad there, transposed back, is the
+    induced monad: its coaction, m and e components and laws.  The splitting
+    is the transpose (i^T, p^T) of the one of Gamma, and each law compares
+    the transposed-back sides.
+    """
     law_report = check_comodule(bim, com)
     if not law_report.passed:
         raise PrerequisiteAxiomFailed(law_report.failed_ids())
-    n = bim.n
-    one = bim.id1()
-
-    def level(theta, d):
-        gamma = _gamma_prime_at_comodule(bim, ent, theta, d)
-        split = split_idempotent(gamma.mat)
-        p_map, i_map = _split_maps(split, (n, d))
-        # coaction on the split object: (id (x) p) . (omega (x) id)
-        #                                 . (id (x) theta) . i
-        idd = identity_map((d,))
-        coact = compose([
-            i_map, tensor(one, theta), tensor(ent.omega, idd), tensor(one, p_map),
-        ])
-        return gamma, split, p_map, i_map, coact
-
-    d0, theta0 = com.dim, com.theta
-    gamma0, split0, p0, i0, coact1 = level(theta0, d0)
-    t1 = split0.rank
-    _, split1, p1, i1, coact2 = level(coact1, t1)
-    t2 = split1.rank
-    _, split2, p2, i2, _ = level(coact2, t2)
-
-    idt1 = identity_map((t1,))
-    e0 = compose([tensor(bim.e, identity_map((d0,))), p0])   # carrier -> T
-    m0 = compose([i1, tensor(one, i0), tensor(bim.m, identity_map((d0,))), p0])
-    m1 = compose([i2, tensor(one, i1), tensor(bim.m, idt1), p1])
-    t_of_m0 = compose([i2, tensor(one, m0), p1])
-    t_of_e0 = compose([i0, tensor(one, e0), p1])
-    e_at_t = compose([tensor(bim.e, idt1), p1])
-
+    gamma, split, act, delta0, eps0, laws = _induced_comonad(
+        dual_instance(bim), transpose(ent.omega), transpose(com.theta),
+        com.dim)
     report = AxiomReport()
-    report.add(compare("ind.coaction-coassoc",
-                       compose([coact1, tensor(bim.delta, idt1)]),
-                       compose([coact1, tensor(one, coact1)])))
-    report.add(compare("ind.coaction-counit",
-                       compose([coact1, tensor(bim.eps, idt1)]), idt1))
-    report.add(compare("ind.unit-left", compose([e_at_t, m0]), idt1))
-    report.add(compare("ind.unit-right", compose([t_of_e0, m0]), idt1))
-    report.add(compare("ind.assoc",
-                       compose([t_of_m0, m0]),
-                       compose([m1, m0])))
-    report.add(compare("ind.m-comodule-morphism",
-                       compose([m0, coact1]),
-                       compose([coact2, tensor(one, m0)])))
-    report.add(compare("ind.e-comodule-morphism",
-                       compose([e0, coact1]),
-                       compose([theta0, tensor(one, e0)])))
-    return InducedMonad(idempotent=gamma0, splitting=split0, coaction=coact1,
-                        m_component=m0, e_component=e0, report=report)
+    for axiom_id, lhs, rhs in laws:
+        report.add(compare(_MONAD_LAW_IDS[axiom_id], transpose(lhs),
+                           transpose(rhs)))
+    return InducedMonad(
+        idempotent=transpose(gamma),
+        splitting=exactmat.Splitting(p=split.i.transpose(),
+                                     i=split.p.transpose(), rank=split.rank),
+        coaction=transpose(act), m_component=transpose(delta0),
+        e_component=transpose(eps0), report=report)
 
 
 def coinvariants(bim: WeakBraidedBimonad, ent: EntwiningData,

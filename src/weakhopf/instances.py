@@ -38,6 +38,7 @@ from .tensorexpr import (
     graded_flip_map,
     identity_map,
     maps_equal,
+    transpose,
 )
 
 
@@ -182,15 +183,12 @@ def super_line() -> WeakBraidedBimonad:
 def dual_instance(bim: WeakBraidedBimonad) -> WeakBraidedBimonad:
     """Transpose all structure maps, swapping (m, e) with (delta, eps)."""
     n = bim.n
-
-    def t(f: TensorMap) -> TensorMap:
-        return TensorMap(f.cod, f.dom, f.mat.transpose())
-
     return WeakBraidedBimonad(
-        alg=Algebra(n, t(bim.delta), t(bim.eps)),
-        coa=Coalgebra(n, t(bim.m), t(bim.e)),
-        yb=WeakYBPair(tau=t(bim.tau), tau_prime=t(bim.tau_prime),
-                      nabla=t(bim.nabla)),
+        alg=Algebra(n, transpose(bim.delta), transpose(bim.eps)),
+        coa=Coalgebra(n, transpose(bim.m), transpose(bim.e)),
+        yb=WeakYBPair(tau=transpose(bim.tau),
+                      tau_prime=transpose(bim.tau_prime),
+                      nabla=transpose(bim.nabla)),
         name=f"dual({bim.name})" if bim.name else "dual",
     )
 

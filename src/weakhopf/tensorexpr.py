@@ -162,39 +162,35 @@ def _product(dom_size, cod_size, factors) -> Mat:
 
     The product starts at the smaller end of the chain.  With the smaller
     or a one-dimensional codomain it runs from the codomain as
-    x * whisker.  A chain from a one-dimensional domain (a unit chain) that
-    passes through a space wider than its codomain runs as the transpose of
-    whisker * x: its running product is then one row, not a column with a
-    row per basis vector of that space.  Transposing every step costs more
-    than it saves on other chains, which run from the domain as
-    whisker * x.
+    x * whisker, else from the domain as whisker * x.
 
     The factor at the starting end, when it is one step, is read through
     its matrix, built and kept on first use, so chains that start with the
     same factor build it once.
     """
-    steps = [s for f in factors for s in f.steps]
+    chains = [f.steps for f in factors]
+    steps = [s for fs in chains for s in fs]
     if cod_size < dom_size or cod_size == 1:
-        x = _start(factors[-1], steps[-1])
+        x = _start(factors[-1], chains[-1], -1)
         for g, left, right in reversed(steps[:-1]):
             x = exactmat.mul_whisker(x, g, left, right)
         return x
-    x = _start(factors[0], steps[0])
-    if dom_size == 1 and any(a * g.rows * b > cod_size for g, a, b in steps):
-        x = x.transpose()
-        for g, left, right in steps[1:]:
-            x = exactmat.mul_whisker(x, g.transpose(), left, right)
-        return x.transpose()
+    x = _start(factors[0], chains[0], 0)
     for g, left, right in steps[1:]:
         x = exactmat.whisker_mul(g, left, right, x)
     return x
 
 
-def _start(f: TensorMap, step) -> Mat:
+def _start(f: TensorMap, steps, end) -> Mat:
     """The matrix a running product starts from: f's own, built and kept on
-    first use, when f is one step, else the whisker of f's given step."""
-    if len(f.steps) > 1:
-        return exactmat.whisker(*step)
+    first use, when f is one step, else the whisker of its step at end.
+
+    steps are f's steps as the caller read them; another thread may since
+    have replaced them by f's built matrix, which must not be taken for
+    their first or last step.
+    """
+    if len(steps) > 1:
+        return exactmat.whisker(*steps[end])
     mat = f.__dict__.get("mat")
     return _build(f) if mat is None else mat
 
@@ -221,6 +217,12 @@ def compose(chain) -> TensorMap:
     out = _chain(dom, cod, ((mat, 1, 1),))
     out.__dict__["mat"] = mat
     return out
+
+
+def transpose(f: TensorMap) -> TensorMap:
+    """The transpose cod -> dom: f on the dual spaces in the dual bases.
+    It reverses composites and keeps tensor products."""
+    return TensorMap(f.cod, f.dom, f.mat.transpose())
 
 
 def lift(f: TensorMap, left: int, right: int) -> TensorMap:

@@ -1,11 +1,14 @@
+import dataclasses
+
 import pytest
 
+from weakhopf import exactmat, hopf
 from weakhopf import galois as gl
-from weakhopf import hopf
 from weakhopf import instances as inst
-from weakhopf.errors import NotInvertible
-from weakhopf.exactmat import Mat, kernel_basis
-from weakhopf.tensorexpr import compose, hmap, tensor
+from weakhopf.errors import FactorizationFailed, NotInvertible
+from weakhopf.exactmat import Mat, kernel_basis, solve
+from weakhopf.pipeline import Pipeline
+from weakhopf.tensorexpr import compose, hmap, identity_map, tensor
 
 
 EXPECTED = {
@@ -37,6 +40,61 @@ def test_gamma_prime_factorization_identity(any_pipeline):
     ent, gal = any_pipeline.entwining, any_pipeline.galois
     assert compose([gal.gamma_prime, gal.can]) == \
         compose([ent.ibar_prime(), ent.sigmabar])
+
+
+@pytest.fixture(scope="module")
+def dz2():
+    return Pipeline(inst.dual_instance(inst.z2()))
+
+
+@pytest.mark.parametrize("name", [*inst.BUILTINS, "dz2"])
+def test_cotensor_and_gamma_prime_equal_the_solved_construction(name, request):
+    # the oracle builds the cotensor as the kernel of the co-relations and
+    # solves can . gamma_prime = sigmabar . ibar_prime for gamma_prime
+    pipe = request.getfixturevalue(name)
+    bim, ent, acts, gal = pipe.bim, pipe.entwining, pipe.actions, pipe.galois
+    one = bim.id1()
+    corelations = (tensor(acts.theta_r, one).mat
+                   - tensor(one, acts.theta_l).mat)
+    assert gal.can.mat == kernel_basis(corelations)
+    target = compose([ent.ibar_prime(), ent.sigmabar])
+    assert gal.gamma_prime.mat == solve(gal.can.mat, target.mat)
+
+
+@pytest.mark.parametrize("name", [*inst.BUILTINS, "dz2"])
+def test_galois_stage_solves_no_linear_system(name, monkeypatch):
+    bim = inst.dual_instance(inst.z2()) if name == "dz2" \
+        else inst.BUILTINS[name]()
+    pipe = Pipeline(bim)
+    pipe.actions  # the stages before galois may solve
+
+    def refuse(a, b):
+        raise AssertionError("exactmat.solve called")
+
+    monkeypatch.setattr(exactmat, "solve", refuse)
+    assert pipe.galois.gamma_prime_rank == pipe.galois.gamma_rank
+
+
+def test_fundamental_theorem_under_duality(any_pipeline):
+    # (e) on H is (d) on H*, and (d) on H is (e) on H*
+    gal = any_pipeline.galois
+    dual = Pipeline(inst.dual_instance(any_pipeline.bim)).galois
+    assert (dual.tensor_dim, dual.gamma_rank, dual.gamma_invertible) == \
+        (gal.cotensor_dim, gal.gamma_prime_rank, gal.gamma_prime_invertible)
+    assert (gal.tensor_dim, gal.gamma_rank, gal.gamma_invertible) == \
+        (dual.cotensor_dim, dual.gamma_prime_rank, dual.gamma_prime_invertible)
+
+
+def test_factorization_failures_name_their_galois_map(g2):
+    bim, ent, acts, gal = g2.bim, g2.entwining, g2.actions, g2.galois
+    broken = dataclasses.replace(ent, sigma=identity_map((bim.n, bim.n)))
+    with pytest.raises(FactorizationFailed,
+                       match="^gamma: pbar.sigma does not annihilate"):
+        gl.build_gamma(bim, broken, gal.l)
+    broken = dataclasses.replace(ent, sigmabar=ent.sigma)
+    with pytest.raises(FactorizationFailed, match="^gamma_prime: sigmabar."
+                       "ibar_prime does not land in the cotensor$"):
+        gl.build_cotensor_and_gamma_prime(bim, broken, acts)
 
 
 def test_qtilde_identity(any_pipeline):

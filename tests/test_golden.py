@@ -40,7 +40,7 @@ def cases():
         out.append((f"{name}.eval.json",
                     ["eval", f"@{name}", EXPR, "--out", "OUT"]))
     # failing laws pin the witnesses
-    for name in ("g2_bad_eps", "g2_bad_m"):
+    for name in ("g2_bad_e", "g2_bad_eps", "g2_bad_m"):
         out.append((f"{name}.check.json", ["check", f"@{name}", "--out", "OUT"]))
     module = resources.files("weakhopf") / "data" / "g2_free.module"
     out.append(("g2.hopfmod.json",

@@ -7,7 +7,7 @@ from weakhopf import hopfmodules as hm
 from weakhopf import instances as inst
 from weakhopf.bimonad import AxiomEntry, AxiomReport
 from weakhopf.errors import FactorizationFailed, PrerequisiteAxiomFailed
-from weakhopf.exactmat import Mat, same_column_span
+from weakhopf.exactmat import Mat, mul, same_column_span
 from weakhopf.tensorexpr import TensorMap
 
 
@@ -75,6 +75,14 @@ def test_induced_monad_at_cofree_comodule_is_kappa_prime(any_pipeline):
     assert induced.idempotent.mat == ent.kappa_prime.mat
     assert induced.splitting.rank == ent.tbar_dim
     assert induced.report.passed, induced.report.failed_ids()
+    assert [e.axiom_id for e in induced.report.entries] == [
+        "ind.coaction-coassoc", "ind.coaction-counit", "ind.unit-left",
+        "ind.unit-right", "ind.assoc", "ind.m-comodule-morphism",
+        "ind.e-comodule-morphism"]
+    # the splitting is the transpose of the dual one, in another basis
+    split = induced.splitting
+    assert mul(split.i, split.p) == induced.idempotent.mat
+    assert mul(split.p, split.i) == Mat.identity(split.rank)
 
 
 def test_induced_comonad_split_dims(g2, z2):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakhopf import instances as inst
+from weakhopf import tensorexpr
 from weakhopf.errors import ArityMismatch, ExprSyntaxError
 from weakhopf.exactmat import Mat
 from weakhopf.tensorexpr import (
@@ -19,6 +20,7 @@ from weakhopf.tensorexpr import (
     lift,
     parse_expr,
     tensor,
+    transpose,
 )
 
 F = Fraction
@@ -105,13 +107,22 @@ def test_convolution_xi_idempotent(g2):
     assert g2.bim.convolve(g2.entwining.xi, g2.entwining.xi) == g2.entwining.xi
 
 
-@settings(max_examples=10)
-@given(endo(4), endo(4), endo(4))
-def test_convolution_associative(f, g, h):
-    bim = inst.g2()
+@settings(max_examples=10, deadline=None)
+@given(f=endo(4), g=endo(4), h=endo(4))
+def test_convolution_associative(g2, f, g, h):
+    bim = g2.bim
     left = bim.convolve(bim.convolve(f, g), h)
     right = bim.convolve(f, bim.convolve(g, h))
     assert left == right
+
+
+def test_transpose_reverses_composites_and_keeps_tensor_products(g2):
+    m, delta, tau = g2.bim.m, g2.bim.delta, g2.bim.tau
+    assert transpose(m).dom == m.cod and transpose(m).cod == m.dom
+    assert transpose(transpose(m)) == m
+    assert transpose(compose([tau, m])) == compose([transpose(m), transpose(tau)])
+    assert transpose(tensor(m, delta)) == tensor(transpose(m), transpose(delta))
+    assert transpose(lift(m, 1, 0)) == lift(transpose(m), 1, 0)
 
 
 def test_convolution_primitive_signature(z2):
@@ -194,3 +205,23 @@ def test_threads_reading_one_lazy_matrix_get_equal_results():
     finally:
         sys.setswitchinterval(interval)
     assert got == [want] * 16
+
+
+def test_a_factor_built_while_its_product_runs_is_applied_once(
+        g2, monkeypatch):
+    # the interleaving the thread test above hits at random: another thread
+    # builds a factor's matrix, and so replaces its steps, after compose
+    # has read them
+    bim = g2.bim
+    want = compose([tensor(bim.delta, bim.delta), tensor(bim.m, bim.m)]).mat
+    start, built = tensorexpr._start, set()
+
+    def build_first(f, *args):
+        if id(f) not in built:
+            built.add(id(f))
+            f.mat
+        return start(f, *args)
+
+    monkeypatch.setattr(tensorexpr, "_start", build_first)
+    got = compose([tensor(bim.delta, bim.delta), tensor(bim.m, bim.m)])
+    assert built and got.mat == want
