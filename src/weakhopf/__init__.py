@@ -2,12 +2,9 @@
 and weak braided Hopf monads on finite-dimensional vector spaces."""
 
 from .bimonad import (
-    Algebra,
     AxiomEntry,
     AxiomReport,
-    Coalgebra,
     WeakBraidedBimonad,
-    WeakYBPair,
     check_algebra,
     check_coalgebra,
     check_instance,

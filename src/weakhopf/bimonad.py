@@ -97,77 +97,38 @@ def compare_all(axiom_id, pairs, informational=False) -> AxiomEntry:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Algebra:
-    dim: int
-    m: TensorMap  # (n, n) -> (n,)
-    e: TensorMap  # () -> (n,)
+class WeakBraidedBimonad:
+    """(H, m, e, delta, eps) with the weak Yang-Baxter pair (tau, tau_prime).
 
-
-@dataclass(frozen=True)
-class Coalgebra:
-    dim: int
+    tau_prime defaults to tau itself when tau is an involution.  nabla =
+    tau . tau_prime is derived here, so ``dataclasses.replace`` rebuilds it.
+    """
+    m: TensorMap      # (n, n) -> (n,)
+    e: TensorMap      # () -> (n,)
     delta: TensorMap  # (n,) -> (n, n)
     eps: TensorMap    # (n,) -> ()
-
-
-@dataclass(frozen=True)
-class WeakYBPair:
     tau: TensorMap
-    tau_prime: TensorMap
-    nabla: TensorMap  # cached tau . tau_prime
+    tau_prime: Optional[TensorMap] = None
+    name: str = ""
+    expected: Optional[dict] = None
+    nabla: TensorMap = field(init=False, compare=False)
 
-    @staticmethod
-    def make(tau: TensorMap, tau_prime: Optional[TensorMap] = None) -> "WeakYBPair":
-        """tau_prime defaults to tau when tau is an involution."""
-        if tau_prime is None:
-            if not tx.maps_equal(compose([tau, tau]), identity_map(tau.dom)):
+    def __post_init__(self):
+        tau, tp = self.tau, self.tau_prime
+        if tp is None:
+            nabla = compose([tau, tau])
+            if not tx.maps_equal(nabla, identity_map(tau.dom)):
                 raise TauPrimeRequired(
                     "tau is not an involution; supply tau_prime explicitly"
                 )
-            tau_prime = tau
-        nabla = compose([tau_prime, tau])
-        return WeakYBPair(tau=tau, tau_prime=tau_prime, nabla=nabla)
-
-
-@dataclass(frozen=True)
-class WeakBraidedBimonad:
-    alg: Algebra
-    coa: Coalgebra
-    yb: WeakYBPair
-    name: str = ""
-    expected: Optional[dict] = None
+            object.__setattr__(self, "tau_prime", tau)
+        else:
+            nabla = compose([tp, tau])
+        object.__setattr__(self, "nabla", nabla)
 
     @property
     def n(self):
-        return self.alg.dim
-
-    @property
-    def m(self):
-        return self.alg.m
-
-    @property
-    def e(self):
-        return self.alg.e
-
-    @property
-    def delta(self):
-        return self.coa.delta
-
-    @property
-    def eps(self):
-        return self.coa.eps
-
-    @property
-    def tau(self):
-        return self.yb.tau
-
-    @property
-    def tau_prime(self):
-        return self.yb.tau_prime
-
-    @property
-    def nabla(self):
-        return self.yb.nabla
+        return self.m.cod[0]
 
     def id1(self):
         return identity_map((self.n,))
@@ -184,9 +145,9 @@ class WeakBraidedBimonad:
 # checkers
 # ---------------------------------------------------------------------------
 
-def check_algebra(alg: Algebra) -> AxiomReport:
-    m, e = alg.m, alg.e
-    one = identity_map((alg.dim,))
+def check_algebra(bim: WeakBraidedBimonad) -> AxiomReport:
+    m, e = bim.m, bim.e
+    one = bim.id1()
     report = AxiomReport()
     report.add(compare("alg.assoc",
                        compose([lift(m, 0, 1), m]),
@@ -196,9 +157,9 @@ def check_algebra(alg: Algebra) -> AxiomReport:
     return report
 
 
-def check_coalgebra(coa: Coalgebra) -> AxiomReport:
-    delta, eps = coa.delta, coa.eps
-    one = identity_map((coa.dim,))
+def check_coalgebra(bim: WeakBraidedBimonad) -> AxiomReport:
+    delta, eps = bim.delta, bim.eps
+    one = bim.id1()
     report = AxiomReport()
     report.add(compare("coa.coassoc",
                        compose([delta, lift(delta, 0, 1)]),
@@ -208,10 +169,10 @@ def check_coalgebra(coa: Coalgebra) -> AxiomReport:
     return report
 
 
-def check_weak_yb(yb: WeakYBPair) -> AxiomReport:
+def check_weak_yb(bim: WeakBraidedBimonad) -> AxiomReport:
     """The weak YB laws.  With tau_prime = tau each tau-prime law is its tau
     law over again, so the tau entry is reported under both ids."""
-    tau, tp, nabla = yb.tau, yb.tau_prime, yb.nabla
+    tau, tp, nabla = bim.tau, bim.tau_prime, bim.nabla
     nl, nr = lift(nabla, 0, 1), lift(nabla, 1, 0)
 
     def laws(name, t, u):
@@ -233,7 +194,7 @@ def check_weak_yb(yb: WeakYBPair) -> AxiomReport:
             for e in first]
     else:
         second = laws("tau-prime", tp, tau)
-    commute = compare("yb.reg-commute", compose([tp, tau]), compose([tau, tp]))
+    commute = compare("yb.reg-commute", nabla, compose([tau, tp]))
     report = AxiomReport()
     for entry in (first[0], second[0], commute, first[1], second[1],
                   *first[2:], *second[2:]):
@@ -295,15 +256,11 @@ def _counit_chains(m, delta, eps, tp):
 def check_instance(bim: WeakBraidedBimonad) -> dict:
     """All component reports keyed by section name."""
     return {
-        "algebra": check_algebra(bim.alg),
-        "coalgebra": check_coalgebra(bim.coa),
-        "weak_yb": check_weak_yb(bim.yb),
+        "algebra": check_algebra(bim),
+        "coalgebra": check_coalgebra(bim),
+        "weak_yb": check_weak_yb(bim),
         "wbb": check_weak_braided_bimonad(bim),
     }
-
-
-def instance_passes(bim: WeakBraidedBimonad) -> bool:
-    return all(r.passed for r in check_instance(bim).values())
 
 
 def require_instance(bim: WeakBraidedBimonad):

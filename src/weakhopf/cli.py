@@ -287,18 +287,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _int(part, option):
+    try:
+        return int(part)
+    except ValueError:
+        raise InvalidSpec(f"{option}: {part!r} is not an integer") from None
+
+
 def _parse_arrows(text):
     arrows = []
     if not text:
         return tuple(arrows)
     for part in text.split(","):
         s, _, t = part.partition("-")
-        arrows.append((int(s), int(t)))
+        arrows.append((_int(s, "--arrows"), _int(t, "--arrows")))
     return tuple(arrows)
 
 
 def _parse_table(text):
-    return [[int(v) for v in row.split(",")] for row in text.split(";")]
+    return [[_int(v, "--table") for v in row.split(",")]
+            for row in text.split(";")]
 
 
 def cmd_gen(args) -> int:
@@ -416,10 +424,7 @@ def main(argv=None) -> int:
     try:
         code = command(args)
     except (SchemaError, InvalidSpec, ExprSyntaxError, ArityMismatch,
-            DimensionMismatch) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+            DimensionMismatch, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except PrerequisiteAxiomFailed as exc:

@@ -83,10 +83,6 @@ class Mat:
         return Mat(len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
-    def column(values):
-        return _make(len(values), 1, tuple(_nonzero({0: v}) for v in values))
-
-    @staticmethod
     def from_entries(rows, cols, entries):
         """Build from a {(i, j): value} dict; omitted entries are zero."""
         maps = [{} for _ in range(rows)]

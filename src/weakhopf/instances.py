@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .bimonad import Algebra, Coalgebra, WeakBraidedBimonad, WeakYBPair
+from .bimonad import WeakBraidedBimonad
 from .errors import (
     IndexOutOfRange,
     InvalidSpec,
@@ -32,7 +32,6 @@ from .errors import (
 from .exactmat import Mat
 from .tensorexpr import (
     TensorMap,
-    compose,
     flip_map,
     from_table,
     graded_flip_map,
@@ -101,10 +100,9 @@ def groupoid_algebra(spec: GroupoidSpec, name: str = "") -> WeakBraidedBimonad:
     delta_entries = {(i, i, i): 1 for i in range(n)}
     eps_entries = {(i,): 1 for i in range(n)}
     return WeakBraidedBimonad(
-        alg=Algebra(n, from_table(n, 2, 1, m_entries), from_table(n, 0, 1, e_entries)),
-        coa=Coalgebra(n, from_table(n, 1, 2, delta_entries),
-                      from_table(n, 1, 0, eps_entries)),
-        yb=WeakYBPair.make(flip_map(n)),
+        from_table(n, 2, 1, m_entries), from_table(n, 0, 1, e_entries),
+        from_table(n, 1, 2, delta_entries), from_table(n, 1, 0, eps_entries),
+        flip_map(n),
         name=name or f"groupoid({spec.objects},{len(spec.arrows)} arrows)",
     )
 
@@ -143,11 +141,10 @@ def monoid_algebra(table, name: str = "") -> WeakBraidedBimonad:
     n = len(table)
     m_entries = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
     return WeakBraidedBimonad(
-        alg=Algebra(n, from_table(n, 2, 1, m_entries),
-                    from_table(n, 0, 1, {(unit,): 1})),
-        coa=Coalgebra(n, from_table(n, 1, 2, {(i, i, i): 1 for i in range(n)}),
-                      from_table(n, 1, 0, {(i,): 1 for i in range(n)})),
-        yb=WeakYBPair.make(flip_map(n)),
+        from_table(n, 2, 1, m_entries), from_table(n, 0, 1, {(unit,): 1}),
+        from_table(n, 1, 2, {(i, i, i): 1 for i in range(n)}),
+        from_table(n, 1, 0, {(i,): 1 for i in range(n)}),
+        flip_map(n),
         name=name or f"monoid({n})",
     )
 
@@ -171,24 +168,22 @@ def super_line() -> WeakBraidedBimonad:
     m_entries = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
     delta_entries = {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1}
     return WeakBraidedBimonad(
-        alg=Algebra(2, from_table(2, 2, 1, m_entries),
-                    from_table(2, 0, 1, {(0,): 1})),
-        coa=Coalgebra(2, from_table(2, 1, 2, delta_entries),
-                      from_table(2, 1, 0, {(0,): 1})),
-        yb=WeakYBPair.make(graded_flip_map((0, 1))),
+        from_table(2, 2, 1, m_entries), from_table(2, 0, 1, {(0,): 1}),
+        from_table(2, 1, 2, delta_entries), from_table(2, 1, 0, {(0,): 1}),
+        graded_flip_map((0, 1)),
         name="SL",
     )
 
 
 def dual_instance(bim: WeakBraidedBimonad) -> WeakBraidedBimonad:
-    """Transpose all structure maps, swapping (m, e) with (delta, eps)."""
-    n = bim.n
+    """Transpose all structure maps, swapping (m, e) with (delta, eps).
+
+    A tau_prime that is tau itself stays tau itself in the dual."""
+    tau = transpose(bim.tau)
     return WeakBraidedBimonad(
-        alg=Algebra(n, transpose(bim.delta), transpose(bim.eps)),
-        coa=Coalgebra(n, transpose(bim.m), transpose(bim.e)),
-        yb=WeakYBPair(tau=transpose(bim.tau),
-                      tau_prime=transpose(bim.tau_prime),
-                      nabla=transpose(bim.nabla)),
+        transpose(bim.delta), transpose(bim.eps),
+        transpose(bim.m), transpose(bim.e),
+        tau, tau if bim.tau_prime is bim.tau else transpose(bim.tau_prime),
         name=f"dual({bim.name})" if bim.name else "dual",
     )
 
@@ -336,8 +331,9 @@ def to_json_text(bim: WeakBraidedBimonad, expected=None) -> str:
             doc["grading"] = list(grading)
         else:
             doc["tau"] = _table_from_map(bim.tau, 2, 2, n)
-    involution = maps_equal(compose([bim.tau, bim.tau]), identity_map((n, n)))
-    if bim.tau_prime != bim.tau or not involution:
+    # with tau_prime = tau, nabla is tau . tau
+    if (bim.tau_prime != bim.tau
+            or not maps_equal(bim.nabla, identity_map((n, n)))):
         doc["tau_prime"] = _table_from_map(bim.tau_prime, 2, 2, n)
     exp = expected if expected is not None else bim.expected
     if exp:
@@ -383,16 +379,10 @@ def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
         raise SchemaError("dim must be a positive integer", "dim")
     check_max_dim(n, max_dim)
 
-    m_tab = _read_table(doc, "m", 3, (n, n, n))
-    e_tab = _read_table(doc, "e", 1, (n,))
-    # delta rows are [i, j, k, coeff] for coefficient of b_j (x) b_k in
-    # delta(b_i): reorder to from_table's domain-then-codomain convention
-    d_raw = _read_table(doc, "delta", 3, (n, n, n))
-    eps_tab = _read_table(doc, "eps", 1, (n,))
-    m_map = from_table(n, 2, 1, {(i, j, k): v for (i, j, k), v in m_tab.items()})
-    e_map = from_table(n, 0, 1, {(i,): v for (i,), v in e_tab.items()})
-    delta_map = from_table(n, 1, 2, {(i, j, k): v for (i, j, k), v in d_raw.items()})
-    eps_map = from_table(n, 1, 0, {(i,): v for (i,), v in eps_tab.items()})
+    m_map = from_table(n, 2, 1, _read_table(doc, "m", 3, (n, n, n)))
+    e_map = from_table(n, 0, 1, _read_table(doc, "e", 1, (n,)))
+    delta_map = from_table(n, 1, 2, _read_table(doc, "delta", 3, (n, n, n)))
+    eps_map = from_table(n, 1, 0, _read_table(doc, "eps", 1, (n,)))
 
     grading = doc.get("grading")
     if grading is not None:
@@ -409,14 +399,11 @@ def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
         if grading is not None:
             raise SchemaError("grading is only meaningful with tau = \"flip\"",
                               "grading")
-        tau_tab = _read_table(doc, "tau", 4, (n, n, n, n))
-        tau_map = from_table(n, 2, 2,
-                             {(i, j, k, l): v for (i, j, k, l), v in tau_tab.items()})
+        tau_map = from_table(n, 2, 2, _read_table(doc, "tau", 4, (n, n, n, n)))
     tau_prime_map = None
     if "tau_prime" in doc:
-        tp_tab = _read_table(doc, "tau_prime", 4, (n, n, n, n))
         tau_prime_map = from_table(
-            n, 2, 2, {(i, j, k, l): v for (i, j, k, l), v in tp_tab.items()})
+            n, 2, 2, _read_table(doc, "tau_prime", 4, (n, n, n, n)))
 
     expected = doc.get("expected")
     if expected is not None:
@@ -430,9 +417,7 @@ def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
                 raise SchemaError(f"expected.{k} must be an integer", "expected")
 
     return WeakBraidedBimonad(
-        alg=Algebra(n, m_map, e_map),
-        coa=Coalgebra(n, delta_map, eps_map),
-        yb=WeakYBPair.make(tau_map, tau_prime_map),
+        m_map, e_map, delta_map, eps_map, tau_map, tau_prime_map,
         name=name,
         expected=dict(expected) if expected else None,
     )

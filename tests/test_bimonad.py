@@ -5,7 +5,6 @@ import pytest
 from weakhopf import bimonad as bm
 from weakhopf import exactmat
 from weakhopf import instances as inst
-from weakhopf.bimonad import Algebra, Coalgebra, WeakYBPair
 from weakhopf.errors import PrerequisiteAxiomFailed, TauPrimeRequired
 from weakhopf.exactmat import Mat
 from weakhopf.tensorexpr import TensorMap, compose, flip_map, hmap, identity_map
@@ -17,14 +16,6 @@ def mutate_map(f, row, col, value):
     return dataclasses.replace(f, mat=Mat(f.mat.rows, f.mat.cols, rows))
 
 
-def with_m(bim, m):
-    return dataclasses.replace(bim, alg=Algebra(bim.n, m, bim.e))
-
-
-def with_eps(bim, eps):
-    return dataclasses.replace(bim, coa=Coalgebra(bim.n, bim.delta, eps))
-
-
 def test_all_builtin_instances_pass(any_pipeline):
     for report in bm.check_instance(any_pipeline.bim).values():
         assert report.passed, report.failed_ids()
@@ -32,8 +23,8 @@ def test_all_builtin_instances_pass(any_pipeline):
 
 def test_groupoid_mutated_structure_constant_fails_with_witness():
     bim = inst.g2()
-    broken = with_m(bim, mutate_map(bim.m, 0, 0, 2))
-    report = bm.check_algebra(broken.alg)
+    broken = dataclasses.replace(bim, m=mutate_map(bim.m, 0, 0, 2))
+    report = bm.check_algebra(broken)
     assert not report.passed
     failing = [e for e in report.entries if not e.holds]
     assert failing and all(e.witness is not None for e in failing)
@@ -44,32 +35,31 @@ def test_groupoid_mutated_structure_constant_fails_with_witness():
 
 def test_scaled_counit_breaks_wbb6():
     bim = inst.g2()
-    broken = with_eps(bim, dataclasses.replace(bim.eps, mat=bim.eps.mat.scale(2)))
+    broken = dataclasses.replace(
+        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat.scale(2)))
     report = bm.check_weak_braided_bimonad(broken)
     assert not report.entry("wbb6").holds
 
 
-def test_flip_with_identity_partner_fails_regularity():
-    tau = flip_map(2)
+def test_flip_with_identity_partner_fails_regularity(z2):
     one2 = identity_map((2, 2))
-    yb = WeakYBPair(tau=tau, tau_prime=one2, nabla=compose([one2, tau]))
-    report = bm.check_weak_yb(yb)
+    report = bm.check_weak_yb(dataclasses.replace(z2.bim, tau_prime=one2))
     assert not report.entry("yb.reg-tau-prime").holds
 
 
-def test_tau_prime_defaulting_requires_involution():
+def test_tau_prime_defaulting_requires_involution(z2):
     tau = flip_map(2)
-    assert WeakYBPair.make(tau).tau_prime == tau
+    assert dataclasses.replace(z2.bim, tau=tau, tau_prime=None).tau_prime is tau
     not_involution = hmap(2, 2, 2, Mat.from_entries(4, 4, {(i, i): 2 if i == 0
                                                            else 1
                                                            for i in range(4)}))
     with pytest.raises(TauPrimeRequired):
-        WeakYBPair.make(not_involution)
+        dataclasses.replace(z2.bim, tau=not_involution, tau_prime=None)
 
 
 def test_checks_report_instead_of_raising():
     bim = inst.g2()
-    broken = with_m(bim, mutate_map(bim.m, 0, 0, 2))
+    broken = dataclasses.replace(bim, m=mutate_map(bim.m, 0, 0, 2))
     reports = bm.check_instance(broken)  # no exception
     assert not all(r.passed for r in reports.values())
     with pytest.raises(PrerequisiteAxiomFailed) as err:
@@ -79,7 +69,8 @@ def test_checks_report_instead_of_raising():
 
 def test_report_determinism(g2):
     bim = inst.g2()
-    broken = with_eps(bim, dataclasses.replace(bim.eps, mat=bim.eps.mat.scale(2)))
+    broken = dataclasses.replace(
+        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat.scale(2)))
     first = bm.check_weak_braided_bimonad(broken)
     second = bm.check_weak_braided_bimonad(broken)
     assert [ (e.axiom_id, e.holds, e.witness) for e in first.entries ] == \
@@ -132,9 +123,19 @@ def _yb_rows(report):
                                           (2, 2): 1})),
 ])
 def test_involutive_tau_reuses_its_entries_for_tau_prime(tau):
-    yb = WeakYBPair.make(tau)
+    bim = inst.group_algebra(inst.cyclic_group_table(tau.dom[0]))
+    yb = dataclasses.replace(bim, tau=tau, tau_prime=None)
     assert yb.tau_prime is yb.tau
     # an equal tau_prime that is another object takes the computing path
-    twin = WeakYBPair.make(tau, TensorMap(tau.dom, tau.cod, tau.mat))
+    twin = dataclasses.replace(bim, tau=tau,
+                               tau_prime=TensorMap(tau.dom, tau.cod, tau.mat))
     assert twin.tau_prime is not twin.tau
     assert _yb_rows(bm.check_weak_yb(yb)) == _yb_rows(bm.check_weak_yb(twin))
+
+
+def test_replace_derives_nabla_from_the_new_pair(z2):
+    t = hmap(2, 2, 2, Mat.from_entries(4, 4, {(0, 0): 1, (2, 1): 1,
+                                              (1, 2): 1, (3, 3): -1}))
+    bim = dataclasses.replace(z2.bim, tau=t, tau_prime=t)
+    assert bim.nabla == compose([t, t])
+    assert "nabla" not in {f.name for f in dataclasses.fields(bim) if f.init}

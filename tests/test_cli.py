@@ -260,3 +260,19 @@ def test_hopfmod_refuses_a_module_name_that_is_not_a_string(
     code, out = run(["hopfmod", g2_file, str(module)], capsys)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "group", "--table", "0,x"],
+    ["gen", "groupoid", "--objects", "3", "--arrows", "0-"],
+])
+def test_gen_refuses_a_part_that_is_not_an_int(tmp_path, argv, capsys):
+    out_file = tmp_path / "out.instance"
+    assert cli.main(argv + ["--out", str(out_file)]) == 2
+    assert "input error: " in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def test_check_refuses_a_directory_as_input(tmp_path, capsys):
+    assert cli.main(["check", str(tmp_path)]) == 2
+    assert "input error: " in capsys.readouterr().err

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from weakhopf import bimonad as bm
 from weakhopf import entwining as ew
 from weakhopf import hopf
 from weakhopf import instances as inst
@@ -13,7 +12,9 @@ from weakhopf.errors import (
     SchemaError,
     TauPrimeRequired,
 )
-from weakhopf.tensorexpr import flip_map
+from weakhopf.exactmat import Mat
+from weakhopf.pipeline import Pipeline
+from weakhopf.tensorexpr import compose, flip_map, hmap
 
 
 def test_every_generator_output_passes_checks():
@@ -26,13 +27,13 @@ def test_every_generator_output_passes_checks():
         inst.super_line(),
     ]
     for bim in candidates:
-        assert bm.instance_passes(bim), bim.name
+        assert not Pipeline(bim).failed_axioms, bim.name
 
 
 def test_trivial_group_is_ground_field():
     bim = inst.group_algebra(inst.cyclic_group_table(1))
     assert bim.n == 1
-    assert bm.instance_passes(bim)
+    assert not Pipeline(bim).failed_axioms
 
 
 def test_one_object_groupoid_is_ground_field():
@@ -75,7 +76,7 @@ def test_super_line_structure():
     bim = inst.super_line()
     col = [bim.tau.mat.data[r][3] for r in range(4)]  # x (x) x column
     assert col == [0, 0, 0, -1]
-    assert bm.instance_passes(bim)
+    assert not Pipeline(bim).failed_axioms
 
 
 def test_dual_swaps_structure(any_pipeline):
@@ -83,7 +84,7 @@ def test_dual_swaps_structure(any_pipeline):
     dual = inst.dual_instance(bim)
     assert dual.m.mat == bim.delta.mat.transpose()
     assert dual.eps.mat == bim.e.mat.transpose()
-    assert bm.instance_passes(dual)
+    assert not Pipeline(dual).failed_axioms
 
 
 def test_dual_fails_iff_original_fails():
@@ -91,11 +92,9 @@ def test_dual_fails_iff_original_fails():
 
     bim = inst.g2()
     broken = dataclasses.replace(
-        bim, coa=bm.Coalgebra(4, bim.delta,
-                              dataclasses.replace(bim.eps,
-                                                  mat=bim.eps.mat.scale(2))))
-    assert not bm.instance_passes(broken)
-    assert not bm.instance_passes(inst.dual_instance(broken))
+        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat.scale(2)))
+    assert Pipeline(broken).failed_axioms
+    assert Pipeline(inst.dual_instance(broken)).failed_axioms
 
 
 def test_load_save_round_trip(tmp_path, any_pipeline):
@@ -253,13 +252,11 @@ def test_shipped_files_match_builtins():
     from importlib import resources
 
     for name, make in inst.BUILTINS.items():
-        with resources.as_file(resources.files("weakhopf") / "data"
-                               / f"{name}.instance") as path:
-            loaded = inst.load(path)
-        built = make()
-        assert loaded.m == built.m and loaded.delta == built.delta
-        assert loaded.tau == built.tau
+        shipped = resources.files("weakhopf") / "data" / f"{name}.instance"
+        text = shipped.read_text(encoding="utf-8")
+        loaded = inst.from_doc(json.loads(text))
         assert loaded.expected is not None
+        assert inst.to_json_text(make(), expected=loaded.expected) == text
 
 
 def test_expected_block_pins_dimensions(g2):
@@ -269,3 +266,30 @@ def test_expected_block_pins_dimensions(g2):
                            / "g2.instance") as path:
         loaded = inst.load(path)
     assert loaded.expected == {"base_dim": 2, "tensor_dim": 8, "gamma_rank": 8}
+
+
+def _non_commuting_z2():
+    """z2 with tau_prime = E_{01,01}, which does not commute with the flip."""
+    import dataclasses
+
+    tp = hmap(2, 2, 2, Mat.from_entries(4, 4, {(1, 1): 1}))
+    return dataclasses.replace(inst.z2(), tau_prime=tp)
+
+
+def test_dual_nabla_is_derived_from_the_dual_pair():
+    for bim in [make() for make in inst.BUILTINS.values()] + [_non_commuting_z2()]:
+        dual = inst.dual_instance(bim)
+        assert dual.nabla == compose([dual.tau_prime, dual.tau]), bim.name
+
+
+def test_dual_of_an_involutive_instance_shares_tau_prime(z2):
+    dual = inst.dual_instance(z2.bim)
+    assert z2.bim.tau_prime is z2.bim.tau
+    assert dual.tau_prime is dual.tau
+
+
+def test_non_commuting_tau_prime_fails_the_same_axioms_on_the_dual():
+    bim = _non_commuting_z2()
+    failed = Pipeline(bim).failed_axioms
+    assert "yb.reg-commute" in failed
+    assert Pipeline(inst.dual_instance(bim)).failed_axioms == failed
