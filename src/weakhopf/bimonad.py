@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import tensorexpr as tx
 from .errors import DimensionMismatch, PrerequisiteAxiomFailed, TauPrimeRequired
+from .exactmat import first_difference
 from .tensorexpr import TensorMap, compose, convolution, identity_map, lift, tensor
 
 
@@ -59,18 +60,6 @@ class AxiomReport:
 
     def to_jsonable(self):
         return [e.to_jsonable() for e in self.entries]
-
-
-def first_difference(a, b):
-    """First (row, col) where the matrices differ, or None."""
-    for i, (ra, rb) in enumerate(zip(a.rowmaps, b.rowmaps)):
-        if ra == rb:
-            continue
-        cols = [j for j in ra.keys() | rb.keys()
-                if ra.get(j, 0) - rb.get(j, 0)]
-        if cols:
-            return (i, min(cols))
-    return None
 
 
 def compare(axiom_id, lhs, rhs, informational=False) -> AxiomEntry:

@@ -1,20 +1,32 @@
 """Exact rational sparse matrix kernel.
 
-A matrix is stored as one ``{col: value}`` map per row, and no exact zero is
-ever stored.  Products and identity whiskers therefore cost in proportion to
-the nonzeros: ``mul`` is the row-wise sparse product (Gustavson, ACM TOMS
-1978), and ``whisker`` builds ``I (x) g (x) I`` from the nonzeros of g.
-``whisker_mul`` and ``mul_whisker`` multiply by such a whisker from the left
-or the right without building it; the tensor layer composes its chains of
-whiskered maps through them, so no Kronecker product is ever materialised.
+A matrix is stored as one ``{col: numerator}`` map per row and one positive
+denominator ``den`` shared by every entry, the representation of FLINT's
+``fmpq_mat`` (https://flintlib.org/doc/fmpq_mat.html).  Numerators are ints
+and no zero is ever stored.  The form is canonical: ``den`` and the
+numerators have no common factor, and the zero matrix has ``den == 1``, so
+equal matrices have equal rows and denominators, and ``==``, ``hash`` and
+:func:`first_difference` read the numerators directly.
 
-Entries are ``fractions.Fraction`` values (plain ints are accepted as exact
-rationals; they mix freely under arithmetic).  An integral Fraction is always
-stored as an int, which compares, hashes and prints like the equal Fraction
-and keeps most arithmetic on structure constants in machine integers.  Every
-elimination picks the first usable pivot in row/column order, so ranks,
-kernels, cokernels and idempotent splittings are bit-identical across runs
-and platforms.
+Products and identity whiskers cost in proportion to the nonzeros: ``mul``
+is the row-wise sparse product (Gustavson, ACM TOMS 1978), and ``whisker``
+builds ``I (x) g (x) I`` from the nonzeros of g.  ``whisker_mul`` and
+``mul_whisker`` multiply by such a whisker from the left or the right
+without building it; the tensor layer composes its chains of whiskered maps
+through them, so no Kronecker product is ever materialised.  A product runs
+on the numerators, multiplies the two denominators and reduces once per
+result; with both denominators 1 it does no gcd at all.
+
+Elimination is fraction-free on integer rows, in the integer-preserving
+spirit of Bareiss ("Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 1968): a row is combined with the pivot
+row by integer multipliers and divided by its content.  It picks the first
+usable pivot in row/column order, so ranks, kernels, cokernels and
+idempotent splittings are bit-identical across runs and platforms.
+
+``fractions.Fraction`` appears only at the edges: constructors accept ints
+and Fractions, and the value views ``data``, ``items()`` and ``m[i, j]`` give
+an int for an integral entry and a reduced Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -22,49 +34,54 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotIdempotent, NotInvertible
 
 
-def _reciprocal(x):
-    # keeps int entries exact: 1/int would be a float
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return 1 / x
+def _over_one_den(maps):
+    """(int row maps, den) holding the nonzero ints and Fractions of maps.
+
+    The common denominator is the lcm of the reduced denominators, which
+    leaves the result canonical without a gcd pass; rows of ints are taken
+    as they are.
+    """
+    den, exact = 1, True
+    for row in maps:
+        for v in row.values():
+            if v.__class__ is not int:
+                exact = False
+                den = lcm(den, v.denominator)
+    if exact:
+        return tuple(maps), 1
+    return tuple({j: v.numerator * (den // v.denominator)
+                  for j, v in row.items()} for row in maps), den
 
 
-def _int_if_integral(v):
-    if v.__class__ is Fraction and v.denominator == 1:
-        return v.numerator
-    return v
-
-
-def _nonzero(row):
-    """The row without its exact zeros, integral Fractions made ints."""
-    out = {}
-    for j, v in row.items():
-        if v:
-            out[j] = v.numerator if v.__class__ is Fraction \
-                and v.denominator == 1 else v
-    return out
+def _value(v, den):
+    """The entry numerator / den: an int when integral, else a Fraction."""
+    if den == 1:
+        return v
+    q, r = divmod(v, den)
+    return Fraction(v, den) if r else q
 
 
 class Mat:
-    """Immutable sparse matrix: ``rowmaps[i]`` maps column -> nonzero value.
+    """Immutable sparse matrix: entry (i, j) is ``rowmaps[i][j] / den``.
 
     ``Mat(rows, cols, dense_rows)`` builds from dense rows; ``data`` is a
     read-only dense tuple-of-tuples view, built on every access.  The row
     maps are shared between matrices and must never be mutated.
     """
 
-    __slots__ = ("rows", "cols", "rowmaps")
+    __slots__ = ("rows", "cols", "rowmaps", "den")
 
     def __init__(self, rows, cols, data):
         data = [tuple(row) for row in data]
         if len(data) != rows or any(len(row) != cols for row in data):
             raise DimensionMismatch(f"bad shape for {rows}x{cols} matrix")
-        _init(self, rows, cols,
-              tuple(_nonzero(dict(enumerate(row))) for row in data))
+        _init(self, rows, cols, *_over_one_den(
+            [{j: v for j, v in enumerate(row) if v} for row in data]))
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
@@ -91,32 +108,34 @@ class Mat:
                 raise DimensionMismatch(
                     f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
             if v:
-                maps[i][j] = _int_if_integral(v)
-        return _make(rows, cols, tuple(maps))
+                maps[i][j] = v
+        return _make(rows, cols, *_over_one_den(maps))
 
     @property
     def data(self):
-        cols = range(self.cols)
-        return tuple(tuple(row.get(j, 0) for j in cols) for row in self.rowmaps)
+        cols, den = range(self.cols), self.den
+        return tuple(tuple(_value(row.get(j, 0), den) for j in cols)
+                     for row in self.rowmaps)
 
     def items(self):
         """(row, col, value) of every stored entry in row-major order."""
+        den = self.den
         for i, row in enumerate(self.rowmaps):
             for j in sorted(row):
-                yield i, j, row[j]
+                yield i, j, _value(row[j], den)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rowmaps[i].get(j, 0)
+        return _value(self.rowmaps[i].get(j, 0), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self.rowmaps == other.rowmaps)
+                and self.den == other.den and self.rowmaps == other.rowmaps)
 
     def __hash__(self):
-        return hash((self.rows, self.cols,
+        return hash((self.rows, self.cols, self.den,
                      tuple(frozenset(row.items()) for row in self.rowmaps)))
 
     def __repr__(self):
@@ -128,22 +147,23 @@ class Mat:
         )
 
     def __add__(self, other):
-        self._same_shape(other)
-        return _make(self.rows, self.cols, tuple(
-            _merge(ra, rb, 1) for ra, rb in zip(self.rowmaps, other.rowmaps)))
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return _make(self.rows, self.cols, tuple(
-            _merge(ra, rb, -1) for ra, rb in zip(self.rowmaps, other.rowmaps)))
+        return _combine(self, other, -1)
 
     def __neg__(self):
         return _make(self.rows, self.cols, tuple(
-            {j: -v for j, v in row.items()} for row in self.rowmaps))
+            {j: -v for j, v in row.items()} for row in self.rowmaps), self.den)
 
     def scale(self, c):
-        return _make(self.rows, self.cols, tuple(
-            _nonzero({j: c * v for j, v in row.items()}) for row in self.rowmaps))
+        c = Fraction(c)
+        if not c:
+            return Mat.zeros(self.rows, self.cols)
+        k = c.numerator
+        return _canon(self.rows, self.cols, tuple(
+            {j: k * v for j, v in row.items()} for row in self.rowmaps),
+            self.den * c.denominator)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -159,7 +179,17 @@ class Mat:
         for i, row in enumerate(self.rowmaps):
             for j, v in row.items():
                 out[j][i] = v
-        return _make(self.cols, self.rows, tuple(out))
+        return _make(self.cols, self.rows, tuple(out), self.den)
+
+    def relabel(self, rows, cols, at):
+        """The rows x cols matrix that holds entry (i, j) of self at
+        at(i, j); at must be one-to-one on the stored entries."""
+        out = [{} for _ in range(rows)]
+        for i, row in enumerate(self.rowmaps):
+            for j, v in row.items():
+                r, c = at(i, j)
+                out[r][c] = v
+        return _make(rows, cols, tuple(out), self.den)
 
     def is_zero_mat(self):
         return not any(self.rowmaps)
@@ -167,47 +197,99 @@ class Mat:
     def column_mat(self, js):
         """Submatrix made of the listed columns, in the given order."""
         at = {j: t for t, j in enumerate(js)}
-        return _make(self.rows, len(js), tuple(
-            {at[j]: v for j, v in row.items() if j in at} for row in self.rowmaps))
+        return _canon(self.rows, len(js), tuple(
+            {at[j]: v for j, v in row.items() if j in at}
+            for row in self.rowmaps), self.den)
 
 
-def _init(mat, rows, cols, rowmaps):
+def _init(mat, rows, cols, rowmaps, den):
     object.__setattr__(mat, "rows", rows)
     object.__setattr__(mat, "cols", cols)
     object.__setattr__(mat, "rowmaps", rowmaps)
+    object.__setattr__(mat, "den", den)
 
 
-def _make(rows, cols, rowmaps):
-    """Mat from a tuple of row maps that hold no zero and no integral
-    Fraction, without copying or checks."""
+def _make(rows, cols, rowmaps, den=1):
+    """Mat from a tuple of int row maps that hold no zero and a den that is
+    canonical with them, without copying or checks."""
     mat = object.__new__(Mat)
-    _init(mat, rows, cols, rowmaps)
+    _init(mat, rows, cols, rowmaps, den)
     return mat
 
 
-def _merge(ra, rb, sign):
-    """The row ra + sign * rb, without exact zeros."""
+def _canon(rows, cols, rowmaps, den):
+    """Mat of the row maps over den, both divided by their common factor.
+
+    The gcd stops at the first row that brings it to 1, and is skipped when
+    den is 1.
+    """
+    if den != 1:
+        g = den
+        for row in rowmaps:
+            if row:
+                g = gcd(g, *row.values())
+                if g == 1:
+                    break
+        if g != 1:
+            den //= g
+            rowmaps = tuple({j: v // g for j, v in row.items()}
+                            for row in rowmaps)
+    return _make(rows, cols, rowmaps, den)
+
+
+def _scaled(rowmaps, k):
+    return rowmaps if k == 1 else tuple(
+        {j: k * v for j, v in row.items()} for row in rowmaps)
+
+
+def _combine(a: Mat, b: Mat, sign):
+    """a + sign * b, both brought to the lcm of their denominators."""
+    a._same_shape(b)
+    den = lcm(a.den, b.den)
+    rows_a = _scaled(a.rowmaps, den // a.den)
+    rows_b = _scaled(b.rowmaps, sign * (den // b.den))
+    return _canon(a.rows, a.cols, tuple(
+        _merge(ra, rb) for ra, rb in zip(rows_a, rows_b)), den)
+
+
+def _merge(ra, rb):
+    """The row ra + rb, without zeros."""
     if not rb:
         return ra
-    if not ra and sign == 1:
+    if not ra:
         return rb
     out = dict(ra)
+    get = out.get
     for j, v in rb.items():
-        x = out.get(j, 0) + v if sign == 1 else out.get(j, 0) - v
+        x = get(j, 0) + v
         if x:
-            out[j] = _int_if_integral(x)
+            out[j] = x
         else:
-            out.pop(j, None)
+            del out[j]
     return out
+
+
+def first_difference(a: Mat, b: Mat):
+    """First (row, col) where the matrices differ, or None."""
+    da, db = a.den, b.den
+    for i, (ra, rb) in enumerate(zip(a.rowmaps, b.rowmaps)):
+        if da == db and ra == rb:
+            continue
+        # over unequal denominators equal values have unequal numerators
+        cols = [j for j in ra.keys() | rb.keys()
+                if ra.get(j, 0) * db != rb.get(j, 0) * da]
+        if cols:
+            return (i, min(cols))
+    return None
 
 
 def _row_times(arow, brows):
     """The row arow * B, with B given by its row maps."""
     if len(arow) == 1:
         (k, aik), = arow.items()
-        if aik.__class__ is int and aik == 1:
+        if aik == 1:
             return brows[k]
-        return _nonzero({j: aik * v for j, v in brows[k].items()})
+        return {j: aik * v for j, v in brows[k].items()}
     acc = {}
     for k, aik in arow.items():
         for j, v in brows[k].items():
@@ -215,7 +297,7 @@ def _row_times(arow, brows):
                 acc[j] += aik * v
             else:
                 acc[j] = aik * v
-    return _nonzero(acc)
+    return {j: v for j, v in acc.items() if v}
 
 
 def mul(a: Mat, b: Mat) -> Mat:
@@ -223,8 +305,9 @@ def mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     brows = b.rowmaps
-    return _make(a.rows, b.cols, tuple(
-        _row_times(arow, brows) if arow else {} for arow in a.rowmaps))
+    return _canon(a.rows, b.cols, tuple(
+        _row_times(arow, brows) if arow else {} for arow in a.rowmaps),
+        a.den * b.den)
 
 
 def whisker(m: Mat, left: int, right: int) -> Mat:
@@ -243,7 +326,8 @@ def whisker(m: Mat, left: int, right: int) -> Mat:
             else:
                 terms = [((off + c) * right, v) for c, v in row.items()]
                 out += [{o + k: v for o, v in terms} for k in range(right)]
-    return _make(left * m.rows * right, left * m.cols * right, tuple(out))
+    return _make(left * m.rows * right, left * m.cols * right, tuple(out),
+                 m.den)
 
 
 def whisker_mul(g: Mat, left: int, right: int, x: Mat) -> Mat:
@@ -268,7 +352,7 @@ def whisker_mul(g: Mat, left: int, right: int, x: Mat) -> Mat:
         blocks = [xrows[start + b:start + span:right] for b in range(right)]
         out += [_row_times(grow, block) if grow else empty
                 for grow in grows for block in blocks]
-    return _make(left * g.rows * right, x.cols, tuple(out))
+    return _canon(left * g.rows * right, x.cols, tuple(out), g.den * x.den)
 
 
 def mul_whisker(x: Mat, g: Mat, left: int, right: int) -> Mat:
@@ -320,26 +404,41 @@ def mul_whisker(x: Mat, g: Mat, left: int, right: int) -> Mat:
                                 acc[c] += w * v
                             else:
                                 acc[c] = w * v
-        out.append(_nonzero(acc))
-    return _make(x.rows, left * gcols * right, tuple(out))
+        out.append({c: v for c, v in acc.items() if v})
+    return _canon(x.rows, left * gcols * right, tuple(out), x.den * g.den)
 
 
 def _hstack(a: Mat, b: Mat) -> Mat:
-    """[a | b] for matrices with equal row counts."""
+    """[a | b] for matrices with equal row counts, over the lcm of their
+    denominators."""
+    den = lcm(a.den, b.den)
     off = a.cols
     out = []
-    for ra, rb in zip(a.rowmaps, b.rowmaps):
+    for ra, rb in zip(_scaled(a.rowmaps, den // a.den),
+                      _scaled(b.rowmaps, den // b.den)):
         row = dict(ra)
         for j, v in rb.items():
             row[off + j] = v
         out.append(row)
-    return _make(a.rows, a.cols + b.cols, tuple(out))
+    return _make(a.rows, a.cols + b.cols, tuple(out), den)
+
+
+def _primitive(row, sign=1):
+    """The row divided by sign times its content (the gcd of its entries)."""
+    c = sign * gcd(*row.values())
+    return row if c == 1 else {j: v // c for j, v in row.items()}
 
 
 def rref(m: Mat):
     """Reduced row echelon form with first-nonzero pivoting.
 
     Returns (R, pivots) where pivots is the tuple of pivot column indices.
+    The elimination runs on the numerator rows, whose row space is that of
+    m: a row is replaced by (p/g)*row - (f/g)*pivot row, where p is the
+    pivot, f the row's entry in the pivot column and g = gcd(p, f), and then
+    divided by its content.  Pivot rows keep a positive pivot.  At the end
+    each pivot row is scaled to the lcm of the pivots, which is R's
+    denominator; R is canonical because every row is primitive.
     """
     rows = list(m.rowmaps)
     nrows, ncols = m.rows, m.cols
@@ -351,27 +450,35 @@ def rref(m: Mat):
             continue
         prow = rows[pr]
         rows[pr] = rows[r]
-        inv = _reciprocal(prow[c])
-        prow = _nonzero({j: inv * v for j, v in prow.items()})
+        prow = _primitive(prow, -1 if prow[c] < 0 else 1)
         rows[r] = prow
+        p = prow[c]
         for k, row in enumerate(rows):
             f = row.get(c)
             if k == r or f is None:
                 continue
-            new = dict(row)
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
             get = new.get
             for j, w in prow.items():
-                x = get(j, 0) - f * w
+                x = get(j, 0) - b * w
                 if x:
-                    new[j] = _int_if_integral(x)
+                    new[j] = x
                 else:
-                    new.pop(j, None)
-            rows[k] = new
+                    del new[j]
+            rows[k] = _primitive(new) if new else new
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return _make(nrows, ncols, tuple(rows)), tuple(pivots)
+    den = lcm(*(rows[t][c] for t, c in enumerate(pivots)))
+    if den != 1:
+        for t, c in enumerate(pivots):
+            k = den // rows[t][c]
+            if k != 1:
+                rows[t] = {j: k * v for j, v in rows[t].items()}
+    return _make(nrows, ncols, tuple(rows), den), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -391,16 +498,17 @@ def split_idempotent(e: Mat) -> Splitting:
     """Split e = i*p through the rank; pivot columns of e give the basis."""
     if e.rows != e.cols:
         raise DimensionMismatch("idempotent must be square")
-    if not (mul(e, e) - e).is_zero_mat():
+    if mul(e, e) != e:
         raise NotIdempotent("e*e != e")
     red, pivots = rref(e)
     r = len(pivots)
     i = e.column_mat(list(pivots))
-    p = _make(r, e.cols, red.rowmaps[:r])
+    # the rows of red below r are zero, so its first r rows keep its den
+    p = _make(r, e.cols, red.rowmaps[:r], red.den)
     # rank factorization of an idempotent: i*p = e forces p*i = identity
-    if not (mul(p, i) - Mat.identity(r)).is_zero_mat():
+    if mul(p, i) != Mat.identity(r):
         raise NotIdempotent("rank factorization did not split")
-    if not (mul(i, p) - e).is_zero_mat():
+    if mul(i, p) != e:
         raise NotIdempotent("rank factorization does not recompose e")
     return Splitting(p=p, i=i, rank=r)
 
@@ -411,12 +519,14 @@ def kernel_basis(m: Mat) -> Mat:
     pivset = set(pivots)
     free = {f: t for t, f in enumerate(c for c in range(m.cols)
                                         if c not in pivset)}
+    # a free variable is 1 = den / den over R's denominator
+    den = red.den
     out = [{} for _ in range(m.cols)]
     for f, t in free.items():
-        out[f][t] = 1
+        out[f][t] = den
     for r, c in enumerate(pivots):
         out[c] = {free[j]: -v for j, v in red.rowmaps[r].items() if j in free}
-    return _make(m.cols, len(free), tuple(out))
+    return _canon(m.cols, len(free), tuple(out), den)
 
 
 def cokernel_projection(m: Mat):
@@ -430,9 +540,11 @@ def cokernel_projection(m: Mat):
     return proj, proj.rows
 
 
-def _right_block(red: Mat, r: int, off: int):
-    """Row r of red restricted to columns >= off, shifted to start at 0."""
-    return {j - off: v for j, v in red.rowmaps[r].items() if j >= off}
+def _right_block(red: Mat, rowcount: int, off: int, width: int):
+    """Columns >= off of red's first rowcount rows, shifted to start at 0."""
+    return _canon(rowcount, width, tuple(
+        {j - off: v for j, v in red.rowmaps[r].items() if j >= off}
+        for r in range(rowcount)), red.den)
 
 
 def invert(m: Mat) -> Mat:
@@ -444,7 +556,7 @@ def invert(m: Mat) -> Mat:
     lead = [c for c in pivots if c < n]
     if len(lead) < n:
         raise NotInvertible(len(lead), dims=(n, n))
-    return _make(n, n, tuple(_right_block(red, r, n) for r in range(n)))
+    return _right_block(red, n, n, n)
 
 
 def solve(a: Mat, b: Mat):
@@ -457,10 +569,11 @@ def solve(a: Mat, b: Mat):
     red, pivots = rref(_hstack(a, b))
     if any(c >= a.cols for c in pivots):
         return None
+    block = _right_block(red, len(pivots), a.cols, b.cols)
     x = [{} for _ in range(a.cols)]
     for r, c in enumerate(pivots):
-        x[c] = _right_block(red, r, a.cols)
-    return _make(a.cols, b.cols, tuple(x))
+        x[c] = block.rowmaps[r]
+    return _make(a.cols, b.cols, tuple(x), block.den)
 
 
 def section(m: Mat):
@@ -471,7 +584,8 @@ def section(m: Mat):
     otherwise s comes from :func:`solve`.
     """
     count = Counter(j for row in m.rowmaps for j in row)
-    unit = [min((j for j, v in row.items() if v == 1 and count[j] == 1),
+    one = m.den  # the numerator of an entry 1
+    unit = [min((j for j, v in row.items() if v == one and count[j] == 1),
                 default=None) for row in m.rowmaps]
     if None in unit:
         return solve(m, Mat.identity(m.rows))

@@ -64,7 +64,7 @@ def _factor_through_surjection(
     if sec is None:
         raise FactorizationFailed(f"{what}: projection is not surjective")
     g = TensorMap(proj.cod, target.cod, exactmat.mul(target.mat, sec))
-    if not (exactmat.mul(g.mat, proj.mat) - target.mat).is_zero_mat():
+    if exactmat.mul(g.mat, proj.mat) != target.mat:
         raise FactorizationFailed(f"{what}: {failure}")
     return g
 

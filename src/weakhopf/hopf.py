@@ -23,7 +23,7 @@ from .bimonad import AxiomReport, WeakBraidedBimonad, compare
 from .bimonad import require_instance  # noqa: F401
 from .entwining import EntwiningData
 from .errors import GaloisNotInvertible, InconsistencyError
-from .exactmat import Mat, kernel_basis, solve
+from .exactmat import Mat, kernel_basis, mul, solve
 from .galois import GaloisData, gamma_inverse
 from .tensorexpr import TensorMap, compose, hmap, tensor
 
@@ -94,18 +94,25 @@ def _vec(mat: Mat) -> dict:
 
 
 def _conv_operator(bim: WeakBraidedBimonad, side: str) -> Mat:
-    """Matrix of s -> vec(1*s) or s -> vec(s*1) acting on vec(s), row-major."""
+    """Matrix of s -> vec(1*s) or s -> vec(s*1) acting on vec(s), row-major.
+
+    With 1*s = m . (id (x) s) . delta, the unit map E_{x,c} goes to
+    sum_a m[i,(a,x)] delta[(a,c),q] at (i, q); with s*1 = m . (s (x) id) .
+    delta, E_{x,c} goes to sum_b m[i,(x,b)] delta[(c,b),q].  Either sum is
+    one product of m and delta with their entries relabelled: rows (i, x)
+    and the summed index, then the summed index and columns (c, q).
+    """
     n = bim.n
-    one = bim.id1()
-    entries = {}
-    for p in range(n):
-        for q in range(n):
-            basis = hmap(n, 1, 1, Mat.from_entries(n, n, {(p, q): 1}))
-            image = bim.convolve(one, basis) if side == "left" \
-                else bim.convolve(basis, one)
-            for i, v in _vec(image.mat).items():
-                entries[(i, p * n + q)] = v
-    return Mat.from_entries(n * n, n * n, entries)
+    m, delta = bim.m.mat, bim.delta.mat
+    if side == "left":
+        mx = m.relabel(n * n, n, lambda i, ab: (i * n + ab % n, ab // n))
+        dx = delta.relabel(n, n * n, lambda ac, q: (ac // n, ac % n * n + q))
+    else:
+        mx = m.relabel(n * n, n, lambda i, ab: (i * n + ab // n, ab % n))
+        dx = delta.relabel(n, n * n, lambda cb, q: (cb % n, cb // n * n + q))
+    # entry ((i, x), (c, q)) of the product sits at ((i, q), (x, c))
+    return mul(mx, dx).relabel(n * n, n * n, lambda ix, cq: (
+        ix // n * n + cq % n, ix % n * n + cq // n))
 
 
 def solve_antipode_linear(bim: WeakBraidedBimonad,
@@ -144,7 +151,7 @@ def solve_antipode_linear(bim: WeakBraidedBimonad,
     for col in candidates:
         s_map = unvec(col)
         cubic = bim.convolve(bim.convolve(s_map, one), s_map)
-        if (cubic.mat - s_map.mat).is_zero_mat():
+        if cubic.mat == s_map.mat:
             return LinearSolveResult(
                 status="found",
                 antipode=Antipode(map=s_map, origin="from_linear_solve"))

@@ -264,7 +264,7 @@ def convolution(f: TensorMap, g: TensorMap, m: TensorMap, delta: TensorMap) -> T
 def maps_equal(f: TensorMap, g: TensorMap) -> bool:
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    return (f.mat - g.mat).is_zero_mat()
+    return f.mat == g.mat
 
 
 # ---------------------------------------------------------------------------

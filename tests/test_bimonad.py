@@ -95,9 +95,9 @@ def test_wbb6_and_wbb7_build_no_matrix_above_n_cubed_rows(monkeypatch):
     rows, marks = [], {}
     init, add = exactmat._init, bm.AxiomReport.add
 
-    def recording_init(mat, nrows, ncols, rowmaps):
+    def recording_init(mat, nrows, ncols, rowmaps, den):
         rows.append(nrows)
-        init(mat, nrows, ncols, rowmaps)
+        init(mat, nrows, ncols, rowmaps, den)
 
     def marking_add(report, entry):
         marks[entry.axiom_id] = len(rows)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakhopf import exactmat
-from weakhopf.bimonad import first_difference
 from weakhopf.errors import DimensionMismatch, NotIdempotent, NotInvertible
 from weakhopf.exactmat import (
     Mat,
     cokernel_projection,
+    first_difference,
     invert,
     kernel_basis,
     mul,
@@ -293,13 +294,21 @@ def dense_first_difference(a, b):
 
 
 def rows_of(m):
-    """Dense rows of m, after checking its storage: no zeros, no Fraction
-    with denominator 1."""
+    """Dense rows of m, after checking its storage: int numerators, no
+    zeros, a positive denominator with no factor common to every numerator,
+    and entry (i, j) equal to rowmaps[i][j] / den."""
+    assert m.den.__class__ is int and m.den > 0
     for row in m.rowmaps:
         for v in row.values():
-            assert v != 0
-            assert not (isinstance(v, F) and v.denominator == 1)
-    return [list(r) for r in m.data]
+            assert v.__class__ is int and v != 0
+    assert math.gcd(m.den, *(v for row in m.rowmaps for v in row.values())) == 1
+    rows = [list(r) for r in m.data]
+    for row, stored in zip(rows, m.rowmaps):
+        assert {j: v for j, v in enumerate(row) if v} == \
+            {j: F(v, m.den) for j, v in stored.items()}
+        # the view gives an int for every integral entry
+        assert not any(isinstance(v, F) and v.denominator == 1 for v in row)
+    return rows
 
 
 sparse_rationals = st.one_of(
@@ -544,3 +553,52 @@ def test_section_without_unit_columns_falls_back_to_solve():
     assert mul(proj, sec) == Mat.identity(2)
     assert sec == solve(proj, Mat.identity(2))
     assert section(Mat.from_rows([[1, 1], [1, 1]])) is None
+
+
+@given(st.data())
+def test_equal_values_reached_two_ways_compare_and_hash_equal(data):
+    a = data.draw(sparse_mats())
+    b = data.draw(sparse_mats(rows=a.cols))
+    product = mul(a, b)
+    want = dense_mul(rows_of(a), rows_of(b), b.cols)
+    direct = Mat.from_entries(a.rows, b.cols, {
+        (i, j): v for i, row in enumerate(want) for j, v in enumerate(row)})
+    assert product == direct and hash(product) == hash(direct)
+    c = data.draw(sparse_mats(rows=a.rows, cols=a.cols))
+    back = (a - c) + c
+    assert rows_of(back) == rows_of(a)
+    assert back == a and hash(back) == hash(a)
+
+
+def test_sum_and_difference_over_unequal_denominators():
+    a = Mat.from_rows([[F(1, 2), F(1, 3)], [0, 1]])
+    b = Mat.from_rows([[F(1, 2), F(2, 3)], [F(1, 4), 0]])
+    assert (a.den, b.den) == (6, 12)
+    total = a + b
+    assert rows_of(total) == [[1, 1], [F(1, 4), 1]] and total.den == 4
+    diff = a - b
+    assert rows_of(diff) == [[0, F(-1, 3)], [F(-1, 4), 1]] and diff.den == 12
+    assert rows_of(a - a) == [[0, 0], [0, 0]] and (a - a).den == 1
+    assert first_difference(a, b) == (0, 1)
+    assert first_difference(a, a + Mat.zeros(2, 2)) is None
+
+
+def test_views_give_ints_for_integral_entries():
+    m = Mat.from_rows([[F(4, 2), F(1, 2)], [F(-3, 1), 0]])
+    assert m.den == 2 and m.rowmaps == ({0: 4, 1: 1}, {0: -6})
+    for value in (m.data[0][0], m[1, 0], list(m.items())[0][2]):
+        assert value.__class__ is int
+    assert m.data == ((2, F(1, 2)), (-3, 0))
+    assert list(m.items()) == [(0, 0, 2), (0, 1, F(1, 2)), (1, 0, -3)]
+    # a product whose denominators cancel comes back with den 1
+    twice = mul(m, Mat.from_rows([[2, 0], [0, 2]]))
+    assert twice.den == 1 and twice.data == ((4, 1), (-6, 0))
+
+
+@given(sparse_mats())
+def test_relabel_by_swapping_indices_is_the_transpose(m):
+    swapped = m.relabel(m.cols, m.rows, lambda i, j: (j, i))
+    assert swapped == m.transpose()
+    dense = rows_of(m)
+    assert rows_of(swapped) == [[dense[i][j] for i in range(m.rows)]
+                                for j in range(m.cols)]

@@ -8,6 +8,7 @@ from weakhopf import instances as inst
 from weakhopf.errors import GaloisNotInvertible
 from weakhopf.exactmat import Mat
 from weakhopf.pipeline import Pipeline
+from weakhopf.tensorexpr import hmap
 
 
 def test_check_antipode_groupoid_inverse(g2):
@@ -130,3 +131,30 @@ def test_dual_is_an_involution(any_pipeline):
     assert double.m == bim.m and double.e == bim.e
     assert double.delta == bim.delta and double.eps == bim.eps
     assert double.tau == bim.tau and double.tau_prime == bim.tau_prime
+
+
+def composed_conv_operator(bim, side):
+    """The convolution operator built column by column: 1*E_{p,q} or
+    E_{p,q}*1 through compose, for each single-entry map E_{p,q}."""
+    n = bim.n
+    one = bim.id1()
+    entries = {}
+    for p in range(n):
+        for q in range(n):
+            basis = hmap(n, 1, 1, Mat.from_entries(n, n, {(p, q): 1}))
+            image = bim.convolve(one, basis) if side == "left" \
+                else bim.convolve(basis, one)
+            for i, j, v in image.mat.items():
+                entries[(i * n + j, p * n + q)] = v
+    return Mat.from_entries(n * n, n * n, entries)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("name", sorted(inst.BUILTINS))
+def test_conv_operator_matches_the_composed_one(name, dual):
+    bim = inst.BUILTINS[name]()
+    if dual:
+        bim = inst.dual_instance(bim)
+    for side in ("left", "right"):
+        assert hopf._conv_operator(bim, side) == \
+            composed_conv_operator(bim, side)
