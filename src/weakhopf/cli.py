@@ -166,7 +166,7 @@ def cmd_antipode(args, pipe: Pipeline) -> int:
         "sections": {},
         "verdicts": {
             "gamma_invertible": gal_data.gamma_invertible,
-            "linear_status": linear.status,
+            "linear_status": "no_solution" if linear is None else "found",
         },
         "notes": [],
     }
@@ -175,18 +175,14 @@ def cmd_antipode(args, pipe: Pipeline) -> int:
         doc["sections"]["antipode"] = antipode.report.to_jsonable()
         doc["antipode"] = {"origin": antipode.origin,
                            "entries": _sparse_endo_rows(antipode.map)}
-        if linear.antipode is not None:
-            doc["antipode_linear"] = {
-                "origin": linear.antipode.origin,
-                "entries": _sparse_endo_rows(linear.antipode.map),
-            }
+        # pipe.linear equals the antipode, or raised EquivalenceViolation
+        doc["antipode_linear"] = {"origin": linear.origin,
+                                  "entries": _sparse_endo_rows(linear.map)}
         doc["notes"].append(f"antipode origin {antipode.origin}")
         _emit(doc, args)
         return 0
-    reason = ("linear system inconsistent" if linear.status == "no_solution"
-              else f"linear solve {linear.status}")
     doc["notes"].append(
-        f"no weak antipode ({reason}); gamma rank "
+        "no weak antipode (linear system inconsistent); gamma rank "
         f"{gal_data.gamma_rank}/{gal_data.gamma.mat.rows}")
     _emit(doc, args)
     return 1

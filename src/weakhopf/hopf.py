@@ -1,15 +1,21 @@
 """Weak antipodes and the Fundamental-Theorem verdict.
 
-Preferred construction is through the inverse Galois map,
+A weak antipode S is built two independent ways.
 
-    S = q_tilde . gamma^-1 . pbar . (id (x) e),
+* Through the inverse Galois map: S = q_tilde . gamma^-1 . pbar . (id (x) e).
+* By one linear solve.  The conditions 1*S = xi and S*1 = xibar are affine
+  in S.  If they have no solution, no weak antipode exists.  Otherwise any
+  solution T gives the antipode S = T*1*T: with xi*1 = 1
+  (``c-diag.xi-conv-one``), xi*xi = xi (``c-diag.xi-conv-idem``) and the
+  associativity of convolution,
 
-with a linear solve as fallback and cross-check: the conditions 1*S = xi and
-S*1 = xibar are affine in S, and the solution set is filtered by the cubic
-condition S*1*S = S.  An empty affine solution set proves that no weak
-antipode exists; a nonempty set with no cubic solution among the searched
-candidates is reported inconclusive, in which case the gamma criterion stays
-the decision procedure.
+      1*S = (1*T)*1*T = xi*1*T = 1*T = xi,
+      S*1 = T*(1*T)*1 = T*(xi*1) = T*1 = xibar,
+      S*1*S = T*(1*T)*(1*T)*(1*T) = T*xi*xi*xi = T*xi = S.
+
+The weak antipode is unique: if S' is another, S = S*1*S = S'*1*S = S'*1*S'
+= S' (Boehm-Nill-Szlachanyi, "Weak Hopf algebras I", J. Algebra 1999).  So
+the two constructions must give the same map.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .bimonad import AxiomReport, WeakBraidedBimonad, compare
 from .bimonad import require_instance  # noqa: F401
 from .entwining import EntwiningData
 from .errors import GaloisNotInvertible, InconsistencyError
-from .exactmat import Mat, kernel_basis, mul, solve
+from .exactmat import Mat, mul, solve
 from .galois import GaloisData, gamma_inverse
 from .tensorexpr import TensorMap, compose, hmap, tensor
 
@@ -37,12 +43,6 @@ class Antipode:
 
 
 @dataclass(frozen=True)
-class LinearSolveResult:
-    status: str  # "found" | "no_solution" | "inconclusive"
-    antipode: Optional[Antipode]
-
-
-@dataclass(frozen=True)
 class FundamentalVerdict:
     hopf: bool
     antipode: Optional[Antipode]
@@ -50,7 +50,7 @@ class FundamentalVerdict:
     gamma_rank: int
     gamma_prime_invertible: bool
     gamma_prime_rank: int
-    linear_status: str
+    linear_status: str  # "found" | "no_solution"
     antipode_report: Optional[AxiomReport]
     roundtrip_report: Optional[AxiomReport]
 
@@ -88,11 +88,6 @@ def construct_antipode_from_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
     return Antipode(map=s_map, origin="from_galois", report=report)
 
 
-def _vec(mat: Mat) -> dict:
-    """{row-major index: value} of the nonzero entries."""
-    return {i * mat.cols + j: v for i, j, v in mat.items()}
-
-
 def _conv_operator(bim: WeakBraidedBimonad, side: str) -> Mat:
     """Matrix of s -> vec(1*s) or s -> vec(s*1) acting on vec(s), row-major.
 
@@ -116,46 +111,27 @@ def _conv_operator(bim: WeakBraidedBimonad, side: str) -> Mat:
 
 
 def solve_antipode_linear(bim: WeakBraidedBimonad,
-                          ent: EntwiningData) -> LinearSolveResult:
-    """Solve the affine system {1*S = xi, S*1 = xibar}, then filter candidates
-    by S*1*S = S.
+                          ent: EntwiningData) -> Optional[Antipode]:
+    """The weak antipode S = T*1*T, where T is the particular solution of the
+    affine system {1*T = xi, T*1 = xibar}, or None if the system has no
+    solution, which proves that no weak antipode exists.
 
-    Candidates are searched in deterministic order: the particular solution
-    with free variables zero, then that solution plus each homogeneous basis
-    vector.
+    The system acts on vec(T), row-major, stacked as [1*T ; T*1]; it is
+    eliminated once.
     """
     n = bim.n
-    op_left = _conv_operator(bim, "left")
-    op_right = _conv_operator(bim, "right")
-    stacked = Mat.from_entries(2 * n * n, n * n, {
-        (i + off, j): v
-        for off, op in ((0, op_left), (n * n, op_right))
-        for i, j, v in op.items()})
-    rhs = Mat.from_entries(2 * n * n, 1, {
-        (i + off, 0): v
-        for off, mat in ((0, ent.xi.mat), (n * n, ent.xibar.mat))
-        for i, v in _vec(mat).items()})
+    nn = n * n
+    left, right = _conv_operator(bim, "left"), _conv_operator(bim, "right")
+    stacked = (left.relabel(2 * nn, nn, lambda i, j: (i, j))
+               + right.relabel(2 * nn, nn, lambda i, j: (nn + i, j)))
+    rhs = (ent.xi.mat.relabel(2 * nn, 1, lambda i, j: (i * n + j, 0))
+           + ent.xibar.mat.relabel(2 * nn, 1, lambda i, j: (nn + i * n + j, 0)))
     particular = solve(stacked, rhs)
     if particular is None:
-        return LinearSolveResult(status="no_solution", antipode=None)
-    homogeneous = kernel_basis(stacked)
-
-    def unvec(col):
-        return hmap(n, 1, 1, Mat(n, n, [col[i * n:(i + 1) * n] for i in range(n)]))
-
-    base = [particular[i, 0] for i in range(n * n)]
-    candidates = [base]
-    for j in range(homogeneous.cols):
-        candidates.append([v + homogeneous[i, j] for i, v in enumerate(base)])
-    one = bim.id1()
-    for col in candidates:
-        s_map = unvec(col)
-        cubic = bim.convolve(bim.convolve(s_map, one), s_map)
-        if cubic.mat == s_map.mat:
-            return LinearSolveResult(
-                status="found",
-                antipode=Antipode(map=s_map, origin="from_linear_solve"))
-    return LinearSolveResult(status="inconclusive", antipode=None)
+        return None
+    t = hmap(n, 1, 1, particular.relabel(n, n, lambda ij, _: divmod(ij, n)))
+    s_map = bim.convolve(bim.convolve(t, bim.id1()), t)
+    return Antipode(map=s_map, origin="from_linear_solve")
 
 
 def fundamental_verdict(bim: WeakBraidedBimonad) -> FundamentalVerdict:

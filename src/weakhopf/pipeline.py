@@ -1,6 +1,6 @@
 """The derivation chain of one instance as lazy, cached stages.
 
-    axioms -> entwining -> base -> actions -> galois -> linear -> antipode
+    axioms -> entwining -> base -> actions -> galois -> antipode -> linear
            -> verdict, and roundtrip(module)
 
 A stage is computed the first time it is read and kept, so a caller reads
@@ -70,35 +70,51 @@ class Pipeline:
         return build_galois(self.bim, self.entwining, self.base, self.actions)
 
     @cached_property
-    def linear(self) -> hopf.LinearSolveResult:
-        return hopf.solve_antipode_linear(self.bim, self.entwining)
-
-    @cached_property
     def antipode(self) -> Optional[hopf.Antipode]:
         """Built from the inverse Galois map when gamma is invertible, else
-        the one the linear solve found, if any."""
-        if self.galois.gamma_invertible:
-            return hopf.construct_antipode_from_galois(
-                self.bim, self.entwining, self.base, self.galois)
-        return self.linear.antipode
+        None."""
+        if not self.galois.gamma_invertible:
+            return None
+        return hopf.construct_antipode_from_galois(
+            self.bim, self.entwining, self.base, self.galois)
+
+    @cached_property
+    def linear(self) -> Optional[hopf.Antipode]:
+        """The antipode from the linear solve, or None when there is none.
+
+        The solve does not use gamma, and a weak antipode is unique, so it
+        must equal :attr:`antipode`, or be None with it: (a) agrees with (d).
+        Disagreement raises EquivalenceViolation.  The equality verifies the
+        solved map, as :attr:`antipode` is checked.
+        """
+        solved = hopf.solve_antipode_linear(self.bim, self.entwining)
+        built = self.antipode
+        if (solved is None) != (built is None):
+            raise EquivalenceViolation(
+                "Fundamental-Theorem verdicts disagree: "
+                f"antipode={solved is not None}, gamma={built is not None}")
+        if solved is not None and solved.map != built.map:
+            raise EquivalenceViolation(
+                "the antipode from the linear solve differs from the one "
+                "built from gamma")
+        return solved
 
     @cached_property
     def verdict(self) -> hopf.FundamentalVerdict:
         """Hopf-ness decided three ways, which must agree: (a) an antipode
         exists (linear solve), (d) gamma and (e) gamma_prime are invertible.
 
-        Disagreement raises EquivalenceViolation.  On a positive verdict the
-        Hopf-module round trip runs on the canonical test module K_omega(1).
+        (a) is checked against (d) in :attr:`linear`, and (d) against (e)
+        here; disagreement raises EquivalenceViolation.  On a positive
+        verdict the Hopf-module round trip runs on the canonical test module
+        K_omega(1).
         """
         gal, linear, antipode = self.galois, self.linear, self.antipode
-        verdicts = {"gamma": gal.gamma_invertible,
-                    "gamma_prime": gal.gamma_prime_invertible}
-        if linear.status != "inconclusive":
-            verdicts["antipode"] = linear.status == "found"
-        if len(set(verdicts.values())) > 1:
+        if gal.gamma_invertible != gal.gamma_prime_invertible:
             raise EquivalenceViolation(
                 "Fundamental-Theorem verdicts disagree: "
-                + ", ".join(f"{k}={v}" for k, v in sorted(verdicts.items())))
+                f"gamma={gal.gamma_invertible}, "
+                f"gamma_prime={gal.gamma_prime_invertible}")
         roundtrip_report = self.roundtrip(K_omega(self.bim, 1)) \
             if gal.gamma_invertible else None
         return hopf.FundamentalVerdict(
@@ -108,7 +124,7 @@ class Pipeline:
             gamma_rank=gal.gamma_rank,
             gamma_prime_invertible=gal.gamma_prime_invertible,
             gamma_prime_rank=gal.gamma_prime_rank,
-            linear_status=linear.status,
+            linear_status="no_solution" if linear is None else "found",
             antipode_report=None if antipode is None else antipode.report,
             roundtrip_report=roundtrip_report,
         )

@@ -6,13 +6,16 @@ In such a basis the structure constants are dense rationals, which is where
 exact arithmetic costs most.
 """
 
+import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_hopf import composed_conv_operator
 
-from weakhopf import hopf
+from weakhopf import cli, hopf
 from weakhopf import instances as inst
 from weakhopf.bimonad import WeakBraidedBimonad
 from weakhopf.exactmat import Mat, invert, rank
@@ -48,7 +51,7 @@ def change_basis(bim, p):
 
 def invariants(pipe):
     v = pipe.verdict
-    return v.hopf, pipe.base.r, v.gamma_rank, v.gamma_prime_rank
+    return v.hopf, pipe.base.r, v.gamma_rank, v.gamma_prime_rank, v.linear_status
 
 
 @pytest.mark.parametrize("make", [
@@ -79,8 +82,34 @@ def test_g3_in_a_dense_basis_is_decided_in_seconds():
     bim = inst.groupoid_algebra(inst.full_groupoid(3), name="G3")
     moved = change_basis(bim, random_basis(bim.n, 1))
     start = time.perf_counter()
-    verdict = Pipeline(moved).verdict
+    pipe = Pipeline(moved)
+    verdict = pipe.verdict
     elapsed = time.perf_counter() - start
     assert verdict.hopf and verdict.gamma_rank == 27
+    assert verdict.linear_status == "found"
+    assert pipe.linear.map == verdict.antipode.map
     # about 6 s on a shared 2-vCPU VM; with Fraction entries it took 110 s
     assert elapsed < 20, f"{elapsed:.1f} s"
+
+
+def test_antipode_command_in_a_dense_basis(tmp_path, capsys):
+    moved = change_basis(inst.g2(), random_basis(4, 1))
+    inst.save(moved, tmp_path / "g2.instance")
+    out = tmp_path / "antipode.json"
+    assert cli.main(["antipode", str(tmp_path / "g2.instance"),
+                     "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdicts"]["linear_status"] == "found"
+    assert report["antipode_linear"]["entries"] == report["antipode"]["entries"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(["z2", "sl", "nz", "g2"]),
+       seed=st.integers(0, 2 ** 16))
+def test_linear_antipode_in_any_basis(name, seed):
+    bim = inst.BUILTINS[name]()
+    pipe = Pipeline(change_basis(bim, random_basis(bim.n, seed)))
+    verdict = pipe.verdict
+    assert (verdict.linear_status == "found") == verdict.hopf
+    if verdict.hopf:
+        assert pipe.linear.map == verdict.antipode.map

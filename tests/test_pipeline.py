@@ -11,7 +11,7 @@ import pytest
 
 from weakhopf import bimonad, cli, hopf, hopfmodules, pipeline
 from weakhopf import instances as inst
-from weakhopf.errors import NotIdempotent
+from weakhopf.errors import EquivalenceViolation, NotIdempotent
 from weakhopf.pipeline import Pipeline
 
 DATA = resources.files("weakhopf") / "data"
@@ -91,10 +91,12 @@ def test_entwining_stage_refuses_a_kappa_that_is_not_idempotent(monkeypatch):
 @pytest.fixture
 def calls(monkeypatch):
     """Count the calls of the checks that must run once per antipode and per
-    module; callers in the library reach them through these module names."""
-    counts = dict.fromkeys(["check_antipode", "coinvariants",
-                            "check_mixed_bimodule"], 0)
+    module, and of the linear solve; callers in the library reach them
+    through these module names."""
+    counts = dict.fromkeys(["check_antipode", "solve_antipode_linear",
+                            "coinvariants", "check_mixed_bimodule"], 0)
     for module, name in ((hopf, "check_antipode"),
+                         (hopf, "solve_antipode_linear"),
                          (hopfmodules, "coinvariants"),
                          (hopfmodules, "check_mixed_bimodule")):
         def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
@@ -108,16 +110,16 @@ def test_verdict_checks_the_antipode_and_each_module_once(calls, gate_calls):
     verdict = hopf.fundamental_verdict(inst.BUILTINS["g2"]())
     assert verdict.antipode_report.passed and verdict.roundtrip_report.passed
     # the modules are K_omega(1) and the module induced from its coinvariants
-    assert calls == {"check_antipode": 1, "coinvariants": 2,
-                     "check_mixed_bimodule": 2}
+    assert calls == {"check_antipode": 1, "solve_antipode_linear": 1,
+                     "coinvariants": 2, "check_mixed_bimodule": 2}
     assert len(gate_calls) == 1
 
 
 @pytest.mark.parametrize("command, want", [
-    ("antipode", {"check_antipode": 1, "coinvariants": 0,
-                  "check_mixed_bimodule": 0}),
-    ("hopfmod", {"check_antipode": 1, "coinvariants": 2,
-                 "check_mixed_bimodule": 2}),
+    ("antipode", {"check_antipode": 1, "solve_antipode_linear": 1,
+                  "coinvariants": 0, "check_mixed_bimodule": 0}),
+    ("hopfmod", {"check_antipode": 1, "solve_antipode_linear": 0,
+                 "coinvariants": 2, "check_mixed_bimodule": 2}),
 ])
 def test_cli_checks_the_antipode_and_each_module_once(command, want, calls,
                                                       gate_calls, tmp_path,
@@ -125,6 +127,27 @@ def test_cli_checks_the_antipode_and_each_module_once(command, want, calls,
     assert cli.main(_argv(command, DATA / "g2.instance", tmp_path)) == 0
     assert calls == want
     assert len(gate_calls) == 1
+
+
+def test_verdict_refuses_a_linear_antipode_that_differs(monkeypatch):
+    # the weak antipode is unique, so the solve must reproduce the gamma one
+    solve = hopf.solve_antipode_linear
+
+    def perturbed(bim, ent):
+        # xibar = S*1 differs from S on G2
+        return dataclasses.replace(solve(bim, ent), map=ent.xibar)
+
+    monkeypatch.setattr(hopf, "solve_antipode_linear", perturbed)
+    with pytest.raises(EquivalenceViolation, match="differs"):
+        Pipeline(inst.BUILTINS["g2"]()).verdict
+
+
+def test_verdict_refuses_a_linear_antipode_where_gamma_is_singular(
+        monkeypatch):
+    g2 = Pipeline(inst.BUILTINS["g2"]()).linear
+    monkeypatch.setattr(hopf, "solve_antipode_linear", lambda bim, ent: g2)
+    with pytest.raises(EquivalenceViolation, match="antipode=True, gamma=False"):
+        Pipeline(inst.BUILTINS["nz"]()).verdict
 
 
 def _verdict_summary(name):
