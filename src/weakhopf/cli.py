@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import baseobject, bimonad, entwining, hopfmodules
@@ -35,7 +33,7 @@ from .errors import (
     WeakHopfError,
 )
 from .pipeline import Pipeline
-from .tensorexpr import TensorMap, parse_expr
+from .tensorexpr import parse_expr
 
 
 def _load_pipeline(args) -> Pipeline:
@@ -88,8 +86,7 @@ def _render_text(doc) -> str:
 def _emit(doc, args) -> None:
     sys.stdout.write(_render_text(doc))
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        Path(args.out).write_text(inst.json_text(doc), encoding="utf-8")
 
 
 def _expected_block(pipe: Pipeline) -> dict:
@@ -149,12 +146,6 @@ def cmd_derive(args, pipe: Pipeline) -> int:
     return 0 if ok else 1
 
 
-def _sparse_endo_rows(f: TensorMap):
-    rows = [[j, i, str(Fraction(v))] for i, j, v in f.mat.items()]
-    rows.sort(key=lambda row: row[:2])
-    return rows
-
-
 @_gated
 def cmd_antipode(args, pipe: Pipeline) -> int:
     bim = pipe.bim
@@ -174,10 +165,10 @@ def cmd_antipode(args, pipe: Pipeline) -> int:
         antipode = pipe.antipode
         doc["sections"]["antipode"] = antipode.report.to_jsonable()
         doc["antipode"] = {"origin": antipode.origin,
-                           "entries": _sparse_endo_rows(antipode.map)}
+                           "entries": inst.write_map(antipode.map)}
         # pipe.linear equals the antipode, or raised EquivalenceViolation
         doc["antipode_linear"] = {"origin": linear.origin,
-                                  "entries": _sparse_endo_rows(linear.map)}
+                                  "entries": inst.write_map(linear.map)}
         doc["notes"].append(f"antipode origin {antipode.origin}")
         _emit(doc, args)
         return 0
@@ -272,14 +263,12 @@ def cmd_eval(args) -> int:
         "expr": args.expr,
         "dom": list(result.dom),
         "cod": list(result.cod),
-        "entries": [[i, j, str(Fraction(v))]
-                    for i, j, v in result.mat.items()],
+        "entries": [[i, j, str(v)] for i, j, v in result.mat.items()],
     }
     sys.stdout.write(f"map {result.dom} -> {result.cod}\n")
     sys.stdout.write(result.mat.pretty() + "\n")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        Path(args.out).write_text(inst.json_text(doc), encoding="utf-8")
     return 0
 
 
@@ -351,8 +340,7 @@ def cmd_gen(args) -> int:
 
     pipe = Pipeline(bim)
     expected = None if pipe.failed_axioms else _expected_block(pipe)
-    text = inst.to_json_text(bim, expected=expected)
-    Path(args.outfile).write_text(text, encoding="utf-8")
+    inst.save(bim, args.outfile, expected=expected)
     sys.stdout.write(f"wrote {args.outfile} ({bim.name}, dim {bim.n})\n")
     return 0
 

@@ -43,19 +43,19 @@ def _over_one_den(maps):
     """(int row maps, den) holding the nonzero ints and Fractions of maps.
 
     The common denominator is the lcm of the reduced denominators, which
-    leaves the result canonical without a gcd pass; rows of ints are taken
-    as they are.
+    leaves the result canonical without a gcd pass; rows of nonzero ints
+    are taken as they are, and zeros are dropped.
     """
     den, exact = 1, True
     for row in maps:
         for v in row.values():
-            if v.__class__ is not int:
+            if v.__class__ is not int or not v:
                 exact = False
                 den = lcm(den, v.denominator)
     if exact:
         return tuple(maps), 1
     return tuple({j: v.numerator * (den // v.denominator)
-                  for j, v in row.items()} for row in maps), den
+                  for j, v in row.items() if v} for row in maps), den
 
 
 def _value(v, den):
@@ -100,6 +100,12 @@ class Mat:
         return Mat(len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
+    def from_rowmaps(rows, cols, maps):
+        """Build from one {col: value} map per row, each col in range;
+        zero values are dropped.  The maps are taken over, not copied."""
+        return _make(rows, cols, *_over_one_den(maps))
+
+    @staticmethod
     def from_entries(rows, cols, entries):
         """Build from a {(i, j): value} dict; omitted entries are zero."""
         maps = [{} for _ in range(rows)]
@@ -107,9 +113,8 @@ class Mat:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise DimensionMismatch(
                     f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            if v:
-                maps[i][j] = v
-        return _make(rows, cols, *_over_one_den(maps))
+            maps[i][j] = v
+        return Mat.from_rowmaps(rows, cols, maps)
 
     @property
     def data(self):

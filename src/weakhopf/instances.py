@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from pathlib import Path
 
 from .bimonad import WeakBraidedBimonad
@@ -244,45 +245,60 @@ def _parse_rat(value, key, pos):
                           f"{key}[{pos}]") from None
 
 
-def _read_table(doc, key, index_count, dims, required=True):
+def _read_map(doc, key, dom, cod, cod_first=False) -> TensorMap:
+    """The map dom -> cod tabled in doc[key].
+
+    A row lists the domain indices, then the codomain indices (the codomain
+    first with ``cod_first``), leftmost factor most significant, then a
+    rational coefficient.  Each row is checked and placed straight into the
+    row maps of the matrix.
+    """
     if key not in doc:
-        if required:
-            raise SchemaError(f"missing field {key!r}", key)
-        return None
-    entries = {}
+        raise SchemaError(f"missing field {key!r}", key)
     table = doc[key]
     if not isinstance(table, list):
         raise SchemaError(f"field {key!r} must be a list of entries", key)
+    dims = cod + dom if cod_first else dom + cod
+    # tail: the size of the factors listed last
+    width, tail = len(dims) + 1, prod(dom if cod_first else cod)
+    rows = prod(cod)
+    maps = [{} for _ in range(rows)]
     for pos, item in enumerate(table):
-        if not isinstance(item, list) or len(item) != index_count + 1:
+        if not isinstance(item, list) or len(item) != width:
             raise SchemaError(
-                f"entry must be a list of {index_count} indices and a coefficient",
+                f"entry must be a list of {width - 1} indices and a coefficient",
                 f"{key}[{pos}]")
-        key_t = tuple(item[:index_count])
-        for i, d in zip(key_t, dims):
+        flat = 0
+        for i, d in zip(item, dims):
             # JSON indices are exact ints; this also rejects true/false
             if i.__class__ is not int or not 0 <= i < d:
                 raise IndexOutOfRange(
                     f"index {i!r} out of range for dimension {d}", f"{key}[{pos}]")
-        if key_t in entries:
-            raise SchemaError(f"duplicate index tuple {key_t}", f"{key}[{pos}]")
-        entries[key_t] = _parse_rat(item[index_count], key, pos)
-    return entries
+            flat = flat * d + i
+        if cod_first:
+            row, col = divmod(flat, tail)
+        else:
+            col, row = divmod(flat, tail)
+        row_map = maps[row]
+        if col in row_map:
+            raise SchemaError(f"duplicate index tuple {tuple(item[:-1])}",
+                              f"{key}[{pos}]")
+        row_map[col] = _parse_rat(item[-1], key, pos)
+    return TensorMap(dom, cod, Mat.from_rowmaps(rows, prod(dom), maps))
 
 
-def _split_index(flat, n, arity):
-    idx = []
-    for k in range(arity - 1, -1, -1):
-        idx.append(flat // n ** k)
-        flat %= n ** k
-    return idx
-
-
-def _table_from_map(f: TensorMap, in_arity, out_arity, n):
-    """Sparse [domain indices..., codomain indices..., coeff-string] rows."""
-    rows = [_split_index(col, n, in_arity) + _split_index(row, n, out_arity)
-            + [str(Fraction(v))] for row, col, v in f.mat.items()]
-    rows.sort(key=lambda row: row[:-1])
+def write_map(f: TensorMap, cod_first=False):
+    """The sorted table rows of f, in the layout _read_map reads."""
+    dims = f.cod + f.dom if cod_first else f.dom + f.cod
+    tail = prod(f.dom if cod_first else f.cod)
+    rows = []
+    for k, v in sorted((row * tail + col if cod_first else col * tail + row, v)
+                       for row, col, v in f.mat.items()):
+        idx = [str(v)]
+        for d in reversed(dims):
+            k, i = divmod(k, d)
+            idx.append(i)
+        rows.append(idx[::-1])
     return rows
 
 
@@ -314,34 +330,42 @@ def save(bim: WeakBraidedBimonad, path, expected=None):
 
 def to_json_text(bim: WeakBraidedBimonad, expected=None) -> str:
     n = bim.n
-    doc = {
-        "name": bim.name or "instance",
-        "dim": n,
-        "m": _table_from_map(bim.m, 2, 1, n),
-        "e": _table_from_map(bim.e, 0, 1, n),
-        "delta": _table_from_map(bim.delta, 1, 2, n),
-        "eps": _table_from_map(bim.eps, 1, 0, n),
-    }
-    if bim.tau == flip_map(n):
-        doc["tau"] = "flip"
+    doc = {"name": bim.name or "instance", "dim": n,
+           "m": write_map(bim.m), "e": write_map(bim.e),
+           "delta": write_map(bim.delta), "eps": write_map(bim.eps)}
+    grading = _detect_graded_flip(bim.tau, n)
+    if grading is None:
+        doc["tau"] = write_map(bim.tau)
     else:
-        grading = _detect_graded_flip(bim.tau, n)
-        if grading is not None:
-            doc["tau"] = "flip"
+        doc["tau"] = "flip"
+        if any(grading):
             doc["grading"] = list(grading)
-        else:
-            doc["tau"] = _table_from_map(bim.tau, 2, 2, n)
     # with tau_prime = tau, nabla is tau . tau
     if (bim.tau_prime != bim.tau
             or not maps_equal(bim.nabla, identity_map((n, n)))):
-        doc["tau_prime"] = _table_from_map(bim.tau_prime, 2, 2, n)
+        doc["tau_prime"] = write_map(bim.tau_prime)
     exp = expected if expected is not None else bim.expected
     if exp:
-        unknown = set(exp) - _EXPECTED_KEYS
-        if unknown:
-            raise SchemaError(f"unknown expected keys {sorted(unknown)}", "expected")
-        doc["expected"] = {k: int(v) for k, v in sorted(exp.items())}
+        doc["expected"] = _checked_expected(exp)
+    return json_text(doc)
+
+
+def json_text(doc) -> str:
+    """The canonical text of a JSON document: sorted keys, two-space indent."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _checked_expected(exp) -> dict:
+    """The ``expected`` block as a dict of ints in key order."""
+    if not isinstance(exp, dict):
+        raise SchemaError("expected must be an object", "expected")
+    unknown = set(exp) - _EXPECTED_KEYS
+    if unknown:
+        raise SchemaError(f"unknown expected keys {sorted(unknown)}", "expected")
+    for k, v in exp.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise SchemaError(f"expected.{k} must be an integer", "expected")
+    return dict(sorted(exp.items()))
 
 
 def check_max_dim(n: int, max_dim) -> None:
@@ -379,10 +403,11 @@ def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
         raise SchemaError("dim must be a positive integer", "dim")
     check_max_dim(n, max_dim)
 
-    m_map = from_table(n, 2, 1, _read_table(doc, "m", 3, (n, n, n)))
-    e_map = from_table(n, 0, 1, _read_table(doc, "e", 1, (n,)))
-    delta_map = from_table(n, 1, 2, _read_table(doc, "delta", 3, (n, n, n)))
-    eps_map = from_table(n, 1, 0, _read_table(doc, "eps", 1, (n,)))
+    h1, h2 = (n,), (n, n)
+    m_map = _read_map(doc, "m", h2, h1)
+    e_map = _read_map(doc, "e", (), h1)
+    delta_map = _read_map(doc, "delta", h1, h2)
+    eps_map = _read_map(doc, "eps", h1, ())
 
     grading = doc.get("grading")
     if grading is not None:
@@ -399,28 +424,17 @@ def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
         if grading is not None:
             raise SchemaError("grading is only meaningful with tau = \"flip\"",
                               "grading")
-        tau_map = from_table(n, 2, 2, _read_table(doc, "tau", 4, (n, n, n, n)))
-    tau_prime_map = None
-    if "tau_prime" in doc:
-        tau_prime_map = from_table(
-            n, 2, 2, _read_table(doc, "tau_prime", 4, (n, n, n, n)))
+        tau_map = _read_map(doc, "tau", h2, h2)
+    tau_prime_map = (_read_map(doc, "tau_prime", h2, h2)
+                     if "tau_prime" in doc else None)
 
     expected = doc.get("expected")
     if expected is not None:
-        if not isinstance(expected, dict):
-            raise SchemaError("expected must be an object", "expected")
-        unknown = set(expected) - _EXPECTED_KEYS
-        if unknown:
-            raise SchemaError(f"unknown expected keys {sorted(unknown)}", "expected")
-        for k, v in expected.items():
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise SchemaError(f"expected.{k} must be an integer", "expected")
+        expected = _checked_expected(expected) or None
 
     return WeakBraidedBimonad(
         m_map, e_map, delta_map, eps_map, tau_map, tau_prime_map,
-        name=name,
-        expected=dict(expected) if expected else None,
-    )
+        name=name, expected=expected)
 
 
 def load_module(path, bim: WeakBraidedBimonad, max_dim=None):
@@ -445,28 +459,14 @@ def load_module(path, bim: WeakBraidedBimonad, max_dim=None):
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise SchemaError("name must be a string", "name")
-    h_tab = _read_table(doc, "h", 3, (n, d, d))
-    th_tab = _read_table(doc, "theta", 3, (n, d, d))
-    h_entries = {}
-    for (i, j, k), v in h_tab.items():
-        h_entries[(k, i * d + j)] = v
-    th_entries = {}
-    for (i, j, k), v in th_tab.items():
-        th_entries[(i * d + j, k)] = v
-    h = TensorMap((n, d), (d,), Mat.from_entries(d, n * d, h_entries))
-    theta = TensorMap((d,), (n, d), Mat.from_entries(n * d, d, th_entries))
+    h = _read_map(doc, "h", (n, d), (d,))
+    theta = _read_map(doc, "theta", (d,), (n, d), cod_first=True)
     return MixedBimodule(dim=d, h=h, theta=theta, name=name)
 
 
 def save_module(mod, bim: WeakBraidedBimonad, path) -> str:
-    d = mod.dim
-    h_rows = [[col // d, col % d, k, str(Fraction(v))]
-              for k, col, v in mod.h.mat.items()]
-    th_rows = [[row // d, row % d, k, str(Fraction(v))]
-               for row, k, v in mod.theta.mat.items()]
-    h_rows.sort(key=lambda r: r[:-1])
-    th_rows.sort(key=lambda r: r[:-1])
-    doc = {"name": mod.name or "module", "dim": d, "h": h_rows, "theta": th_rows}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json_text({"name": mod.name or "module", "dim": mod.dim,
+                      "h": write_map(mod.h),
+                      "theta": write_map(mod.theta, cod_first=True)})
     Path(path).write_text(text, encoding="utf-8")
     return text

@@ -109,24 +109,22 @@ def from_table(n, in_arity, out_arity, entries) -> TensorMap:
 
     ``entries`` maps (in multi-index..., out multi-index...) written as a flat
     tuple of ``in_arity`` domain indices followed by ``out_arity`` codomain
-    indices to a coefficient.
+    indices to a coefficient.  An index outside 0..n-1 is refused.
     """
-    rows, cols = n ** out_arity, n ** in_arity
-    grid = {}
+    rows = n ** out_arity
+    maps = [{} for _ in range(rows)]
     for key, value in entries.items():
-        src = key[:in_arity]
-        dst = key[in_arity:]
-        col = 0
-        for i in src:
-            col = col * n + i
-        row = 0
-        for i in dst:
-            row = row * n + i
-        if (row, col) in grid:
-            grid[(row, col)] += value
-        else:
-            grid[(row, col)] = value
-    return hmap(n, in_arity, out_arity, Mat.from_entries(rows, cols, grid))
+        if len(key) != in_arity + out_arity or not all(0 <= i < n for i in key):
+            raise DimensionMismatch(
+                f"index tuple {key} is not {in_arity} + {out_arity} indices "
+                f"in 0..{n - 1}")
+        flat = 0
+        for i in key:
+            flat = flat * n + i
+        col, row = divmod(flat, rows)
+        maps[row][col] = value
+    return hmap(n, in_arity, out_arity,
+                Mat.from_rowmaps(rows, n ** in_arity, maps))
 
 
 def _pad(steps, left, right):
@@ -249,9 +247,9 @@ def graded_flip_map(grading) -> TensorMap:
     """Twist with Koszul sign (-1)^(|i||j|) for a 0/1 grading vector."""
     n = len(grading)
     # the twist sends b_i (x) b_j, column i*n + j, to b_j (x) b_i, row j*n + i
-    entries = {(j * n + i, i * n + j): -1 if grading[i] and grading[j] else 1
-               for i in range(n) for j in range(n)}
-    return hmap(n, 2, 2, Mat.from_entries(n * n, n * n, entries))
+    maps = [{i * n + j: -1 if grading[i] and grading[j] else 1}
+            for j in range(n) for i in range(n)]
+    return hmap(n, 2, 2, Mat.from_rowmaps(n * n, n * n, maps))
 
 
 def convolution(f: TensorMap, g: TensorMap, m: TensorMap, delta: TensorMap) -> TensorMap:

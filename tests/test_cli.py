@@ -276,3 +276,14 @@ def test_gen_refuses_a_part_that_is_not_an_int(tmp_path, argv, capsys):
 def test_check_refuses_a_directory_as_input(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path)]) == 2
     assert "input error: " in capsys.readouterr().err
+
+
+def test_hopfmod_malformed_module_is_an_input_error(g2_file, tmp_path, capsys):
+    doc = json.loads(data_path("g2_free.module").read_text())
+    doc["theta"][1][0] = 4  # g2 has n = 4: factor index 4 is out of range
+    module = tmp_path / "malformed.module"
+    module.write_text(json.dumps(doc))
+    assert cli.main(["hopfmod", g2_file, str(module)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert "[theta[1]]" in err

@@ -5,6 +5,7 @@ from weakhopf import baseobject as bo
 from weakhopf import galois as gl
 from weakhopf import hopf
 from weakhopf import instances as inst
+from weakhopf.bimonad import WeakBraidedBimonad
 from weakhopf.errors import GaloisNotInvertible
 from weakhopf.exactmat import Mat
 from weakhopf.pipeline import Pipeline
@@ -15,6 +16,27 @@ def test_check_antipode_groupoid_inverse(g2):
     s = inst.groupoid_antipode(inst.full_groupoid(2))
     report = hopf.check_antipode(g2.bim, g2.entwining, s)
     assert report.passed, report.failed_ids()
+
+
+@pytest.mark.parametrize("antipode", ["inverse", "identity"])
+def test_check_antipode_convolves_four_times(g2, monkeypatch, antipode):
+    # 1*S and S*1 are each formed once and reused in S*1*S and 1*S*1
+    s = (inst.groupoid_antipode(inst.full_groupoid(2)) if antipode == "inverse"
+         else g2.bim.id1())
+    bim, ent = g2.bim, g2.entwining
+    want = hopf.check_antipode(bim, ent, s)
+    calls = []
+    convolve = WeakBraidedBimonad.convolve
+
+    def counted(self, f, g):
+        calls.append((f, g))
+        return convolve(self, f, g)
+
+    monkeypatch.setattr(WeakBraidedBimonad, "convolve", counted)
+    report = hopf.check_antipode(bim, ent, s)
+    assert len(calls) == 4
+    assert report.to_jsonable() == want.to_jsonable()
+    assert report.passed is (antipode == "inverse")
 
 
 def test_identity_is_not_an_antipode_for_g2(g2):
