@@ -18,19 +18,13 @@ from dataclasses import dataclass
 from .bimonad import AxiomReport, WeakBraidedBimonad, compare
 from .entwining import EntwiningData
 from .errors import InconsistencyError
-from .exactmat import (
-    Splitting,
-    kernel_basis,
-    rank,
-    same_column_span,
-    split_idempotent,
-)
-from .tensorexpr import TensorMap, compose, identity_map, tensor
+from .exactmat import rank, same_column_span
+from .tensorexpr import (TensorMap, compose, equaliser, identity_map, split,
+                         tensor)
 
 
 @dataclass(frozen=True)
 class BaseObject:
-    split: Splitting
     q: TensorMap        # (n,) -> (r,)
     iota: TensorMap     # (r,) -> (n,)
     m_base: TensorMap   # (r, r) -> (r,)
@@ -41,10 +35,7 @@ class BaseObject:
 
     @property
     def r(self):
-        return self.split.rank
-
-    def xibar_map(self) -> TensorMap:
-        return compose([self.q, self.iota])
+        return self.q.cod[0]
 
 
 @dataclass(frozen=True)
@@ -72,14 +63,11 @@ def build_base(bim: WeakBraidedBimonad, ent: EntwiningData) -> BaseObject:
     """
     n = bim.n
     one = bim.id1()
-    split = split_idempotent(ent.xibar.mat)
-    r = split.rank
-    q = TensorMap((n,), (r,), split.p)
-    iota = TensorMap((r,), (n,), split.i)
+    q, iota = split(ent.xibar)
 
     m, e, delta, eps = bim.m, bim.e, bim.delta, bim.eps
     base = BaseObject(
-        split=split, q=q, iota=iota,
+        q=q, iota=iota,
         m_base=compose([tensor(iota, iota), m, q]),
         e_base=compose([e, q]),
         delta_base=compose([iota, delta, tensor(q, q)]),
@@ -95,8 +83,8 @@ def build_base(bim: WeakBraidedBimonad, ent: EntwiningData) -> BaseObject:
     chain = compose([tensor(e, one), tensor(delta, one), tensor(one, m)])
     report.add(compare("base.equaliser-unit-form",
                        compose([iota, chain]), upper))
-    locus = kernel_basis(compose([delta, tensor(ent.chi, one)]).mat - delta.mat)
-    if not same_column_span(locus, iota.mat):
+    locus = equaliser(compose([delta, tensor(ent.chi, one)]), delta)
+    if not same_column_span(locus.mat, iota.mat):
         raise InconsistencyError("base.equaliser-locus: kernel span != image(iota)")
 
     # split coequaliser of (m, m.(chibar (x) id)) through q
@@ -104,7 +92,7 @@ def build_base(bim: WeakBraidedBimonad, ent: EntwiningData) -> BaseObject:
     report.add(compare("base.coequaliser-chain",
                        compose([tensor(ent.chibar, one), m, q]),
                        compose([m, q])))
-    if rank(co_d) != n - r:
+    if rank(co_d) != n - base.r:
         raise InconsistencyError("base.coequaliser-rank: cokernel dim != r")
     _require(report, "build_base")
     return base
@@ -186,7 +174,8 @@ def build_actions(bim: WeakBraidedBimonad, base: BaseObject) -> ActionData:
                       report=report)
 
 
-def check_pi_splitting(bim: WeakBraidedBimonad, base: BaseObject) -> AxiomReport:
+def check_pi_splitting(bim: WeakBraidedBimonad, base: BaseObject,
+                       acts: ActionData) -> AxiomReport:
     """Splitting witness for the change-of-base coequaliser pair.
 
     Specialised at the left regular module (H, rho_l), the pair is
@@ -200,16 +189,13 @@ def check_pi_splitting(bim: WeakBraidedBimonad, base: BaseObject) -> AxiomReport
     """
     one = bim.id1()
     idr = identity_map((base.r,))
-    m = bim.m
-    rho_l = compose([tensor(base.iota, one), m])
-    rho_r = compose([tensor(one, base.iota), m])
     pi = compose([
         tensor(one, base.e_base, one),
         tensor(one, base.delta_base, one),
-        tensor(rho_r, idr, one),
+        tensor(acts.rho_r, idr, one),
     ])
-    d_act = tensor(one, rho_l)   # id_H (x) rho_l
-    d_mul = tensor(rho_r, one)   # rho_r (x) id_H
+    d_act = tensor(one, acts.rho_l)   # id_H (x) rho_l
+    d_mul = tensor(acts.rho_r, one)   # rho_r (x) id_H
     report = AxiomReport()
     report.add(compare("pi.section",
                        compose([pi, d_mul]), identity_map((bim.n, bim.n))))

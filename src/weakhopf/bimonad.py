@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import tensorexpr as tx
@@ -90,7 +91,8 @@ class WeakBraidedBimonad:
     """(H, m, e, delta, eps) with the weak Yang-Baxter pair (tau, tau_prime).
 
     tau_prime defaults to tau itself when tau is an involution.  nabla =
-    tau . tau_prime is derived here, so ``dataclasses.replace`` rebuilds it.
+    tau . tau_prime is derived from the pair on first read and kept, so
+    ``dataclasses.replace``, which makes a new value, derives it afresh.
     """
     m: TensorMap      # (n, n) -> (n,)
     e: TensorMap      # () -> (n,)
@@ -100,20 +102,22 @@ class WeakBraidedBimonad:
     tau_prime: Optional[TensorMap] = None
     name: str = ""
     expected: Optional[dict] = None
-    nabla: TensorMap = field(init=False, compare=False)
 
     def __post_init__(self):
-        tau, tp = self.tau, self.tau_prime
-        if tp is None:
+        tau = self.tau
+        if self.tau_prime is None:
             nabla = compose([tau, tau])
             if not tx.maps_equal(nabla, identity_map(tau.dom)):
                 raise TauPrimeRequired(
                     "tau is not an involution; supply tau_prime explicitly"
                 )
             object.__setattr__(self, "tau_prime", tau)
-        else:
-            nabla = compose([tp, tau])
-        object.__setattr__(self, "nabla", nabla)
+            # the product is formed already: seed the cached nabla with it
+            self.__dict__["nabla"] = nabla
+
+    @cached_property
+    def nabla(self) -> TensorMap:
+        return compose([self.tau_prime, self.tau])
 
     @property
     def n(self):

@@ -130,7 +130,7 @@ def cmd_derive(args, pipe: Pipeline) -> int:
     sections = {
         "frobenius": baseobject.check_frobenius_separable(base),
         "actions": acts.report,
-        "pi": baseobject.check_pi_splitting(bim, base),
+        "pi": baseobject.check_pi_splitting(bim, base, acts),
     }
     ok = all(r.passed for r in sections.values())
     doc = {
@@ -224,7 +224,7 @@ def cmd_hopfmod(args, pipe: Pipeline) -> int:
         doc["sections"] = _sections_jsonable(sections)
         _emit(doc, args)
         return 1
-    antipode = pipe.antipode if gal_data.gamma_invertible else None
+    antipode = pipe.antipode
     coin = hopfmodules.coinvariants(bim, ent, antipode, module,
                                     laws=sections["module"])
     doc["dims"]["coinvariants"] = coin.dim

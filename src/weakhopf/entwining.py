@@ -30,8 +30,7 @@ from .bimonad import AxiomReport, WeakBraidedBimonad, compare, compare_all
 # bound here for bench/test_bench.py, which traces names imported by name
 from .bimonad import require_instance  # noqa: F401
 from .errors import NotIdempotent
-from .exactmat import Splitting, split_idempotent
-from .tensorexpr import TensorMap, compose, identity_map, lift, tensor
+from .tensorexpr import TensorMap, compose, identity_map, lift, split, tensor
 
 
 @dataclass(frozen=True)
@@ -46,32 +45,20 @@ class EntwiningData:
     chibar: TensorMap
     kappa: TensorMap
     kappa_prime: TensorMap
-    kappa_split: Optional[Splitting]
-    kappa_prime_split: Optional[Splitting]
+    # the splittings of kappa and kappa_prime through Gbar and Tbar, None
+    # when the map is not idempotent
+    pbar: Optional[TensorMap]        # (n, n) -> (gbar,)
+    ibar: Optional[TensorMap]        # (gbar,) -> (n, n)
+    pbar_prime: Optional[TensorMap]  # (n, n) -> (tbar,)
+    ibar_prime: Optional[TensorMap]  # (tbar,) -> (n, n)
 
     @property
     def gbar_dim(self):
-        return self.kappa_split.rank
+        return self.pbar.cod[0]
 
     @property
     def tbar_dim(self):
-        return self.kappa_prime_split.rank
-
-    def pbar(self) -> TensorMap:
-        n = self.kappa.dom[0]
-        return TensorMap((n, n), (self.gbar_dim,), self.kappa_split.p)
-
-    def ibar(self) -> TensorMap:
-        n = self.kappa.dom[0]
-        return TensorMap((self.gbar_dim,), (n, n), self.kappa_split.i)
-
-    def pbar_prime(self) -> TensorMap:
-        n = self.kappa.dom[0]
-        return TensorMap((n, n), (self.tbar_dim,), self.kappa_prime_split.p)
-
-    def ibar_prime(self) -> TensorMap:
-        n = self.kappa.dom[0]
-        return TensorMap((self.tbar_dim,), (n, n), self.kappa_prime_split.i)
+        return self.pbar_prime.cod[0]
 
 
 def build_entwining(bim: WeakBraidedBimonad) -> EntwiningData:
@@ -79,9 +66,9 @@ def build_entwining(bim: WeakBraidedBimonad) -> EntwiningData:
 
     No axiom is checked here, so that a broken instance can still be
     diagnosed through the identity suite; a kappa map that is not idempotent
-    gets the splitting None.  ``Pipeline(bim).entwining`` is the gated form:
-    it refuses an instance whose axioms fail and raises NotIdempotent for a
-    missing splitting.
+    gets the splitting (None, None).  ``Pipeline(bim).entwining`` is the
+    gated form: it refuses an instance whose axioms fail and raises
+    NotIdempotent for a missing splitting.
     """
     m, e, delta, eps, tau = bim.m, bim.e, bim.delta, bim.eps, bim.tau
     one = bim.id1()
@@ -100,16 +87,17 @@ def build_entwining(bim: WeakBraidedBimonad) -> EntwiningData:
 
     def try_split(f):
         try:
-            return split_idempotent(f.mat)
+            return split(f)
         except NotIdempotent:
-            return None
+            return None, None
 
+    pbar, ibar = try_split(kappa)
+    pbar_prime, ibar_prime = try_split(kappa_prime)
     return EntwiningData(
         omega=omega, omegabar=omegabar, sigma=sigma, sigmabar=sigmabar,
         xi=xi, xibar=xibar, chi=chi, chibar=chibar,
         kappa=kappa, kappa_prime=kappa_prime,
-        kappa_split=try_split(kappa),
-        kappa_prime_split=try_split(kappa_prime),
+        pbar=pbar, ibar=ibar, pbar_prime=pbar_prime, ibar_prime=ibar_prime,
     )
 
 

@@ -78,7 +78,7 @@ def construct_antipode_from_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
         raise GaloisNotInvertible(gal.gamma_rank,
                                   dims=(gal.gamma.mat.rows, gal.gamma.mat.cols))
     one = bim.id1()
-    s_map = compose([tensor(one, bim.e), ent.pbar(), gamma_inverse(gal),
+    s_map = compose([tensor(one, bim.e), ent.pbar, gamma_inverse(gal),
                      gal.q_tilde])
     report = check_antipode(bim, ent, s_map)
     failed = report.failed_ids()

@@ -21,11 +21,12 @@ from .errors import (
     PrerequisiteAxiomFailed,
     RoundTripFailed,
 )
-from .exactmat import kernel_basis, same_column_span, split_idempotent
-from .galois import _factor_through_surjection
+from .exactmat import same_column_span
 from .hopf import Antipode
 from .instances import dual_instance
-from .tensorexpr import TensorMap, compose, identity_map, tensor, transpose
+from .tensorexpr import (TensorMap, coequaliser, compose, equaliser,
+                         factor_through, identity_map, split, tensor,
+                         transpose)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class BaseModule:
 @dataclass(frozen=True)
 class InducedComonad:
     idempotent: TensorMap          # Gamma on H(carrier)
-    splitting: exactmat.Splitting
+    p: TensorMap                   # its splitting: H(carrier) -> G
+    i: TensorMap                   # G -> H(carrier)
     action: TensorMap              # H-action on the split object
     delta_component: TensorMap     # G -> GG
     eps_component: TensorMap       # G -> carrier
@@ -66,8 +68,9 @@ class InducedComonad:
 
 @dataclass(frozen=True)
 class InducedMonad:
-    idempotent: TensorMap
-    splitting: exactmat.Splitting
+    idempotent: TensorMap          # Gamma' on H(carrier)
+    p: TensorMap                   # its splitting: H(carrier) -> T
+    i: TensorMap                   # T -> H(carrier)
     coaction: TensorMap            # coaction on the split object
     m_component: TensorMap         # TT -> T
     e_component: TensorMap         # carrier -> T
@@ -140,12 +143,12 @@ def induced_comonad_on_module(bim: WeakBraidedBimonad, ent: EntwiningData,
     law_report = check_module(bim, mod)
     if not law_report.passed:
         raise PrerequisiteAxiomFailed(law_report.failed_ids())
-    gamma, split, act, delta0, eps0, laws = _induced_comonad(
+    gamma, p, i, act, delta0, eps0, laws = _induced_comonad(
         bim, ent.omega, mod.h, mod.dim)
     report = AxiomReport()
     for axiom_id, lhs, rhs in laws:
         report.add(compare(axiom_id, lhs, rhs))
-    return InducedComonad(idempotent=gamma, splitting=split, action=act,
+    return InducedComonad(idempotent=gamma, p=p, i=i, action=act,
                           delta_component=delta0, eps_component=eps0,
                           report=report)
 
@@ -153,7 +156,6 @@ def induced_comonad_on_module(bim: WeakBraidedBimonad, ent: EntwiningData,
 def _induced_comonad(bim, omega, h0, d0):
     """Gamma at the module (d0, h0) split, the action on the split object,
     the comonad components and the (id, lhs, rhs) laws at this object."""
-    n = bim.n
     one = bim.id1()
 
     def level(h, d):
@@ -161,19 +163,15 @@ def _induced_comonad(bim, omega, h0, d0):
         idd = identity_map((d,))
         gamma = compose([tensor(bim.e, one, idd), tensor(omega, idd),
                          tensor(one, h)])
-        split = split_idempotent(gamma.mat)  # raises NotIdempotent: fatal
-        p_map = TensorMap((n, d), (split.rank,), split.p)
-        i_map = TensorMap((split.rank,), (n, d), split.i)
+        p, i = split(gamma)  # raises NotIdempotent: fatal
         # on the split object: p . (id (x) h) . (omega (x) id) . (id (x) i)
-        act = compose([tensor(one, i_map), tensor(omega, idd), tensor(one, h),
-                       p_map])
-        return gamma, split, p_map, i_map, act
+        act = compose([tensor(one, i), tensor(omega, idd), tensor(one, h), p])
+        return gamma, p, i, act
 
-    gamma0, split0, p0, i0, act1 = level(h0, d0)
-    g1 = split0.rank
-    _, split1, p1, i1, act2 = level(act1, g1)
-    g2 = split1.rank
-    _, split2, p2, i2, _ = level(act2, g2)
+    gamma0, p0, i0, act1 = level(h0, d0)
+    g1 = p0.cod[0]
+    _, p1, i1, act2 = level(act1, g1)
+    _, p2, i2, _ = level(act2, p1.cod[0])
 
     idd0, idg1 = identity_map((d0,)), identity_map((g1,))
     eps0 = compose([i0, tensor(bim.eps, idd0)])   # G -> carrier
@@ -196,7 +194,7 @@ def _induced_comonad(bim, omega, h0, d0):
         ("ind.eps-module-morphism", compose([act1, eps0]),
          compose([tensor(one, eps0), h0])),
     ]
-    return gamma0, split0, act1, delta0, eps0, laws
+    return gamma0, p0, i0, act1, delta0, eps0, laws
 
 
 # each comonad law on H* at (a, theta^T), transposed, is a monad law at the
@@ -226,7 +224,7 @@ def induced_monad_on_comodule(bim: WeakBraidedBimonad, ent: EntwiningData,
     law_report = check_comodule(bim, com)
     if not law_report.passed:
         raise PrerequisiteAxiomFailed(law_report.failed_ids())
-    gamma, split, act, delta0, eps0, laws = _induced_comonad(
+    gamma, p, i, act, delta0, eps0, laws = _induced_comonad(
         dual_instance(bim), transpose(ent.omega), transpose(com.theta),
         com.dim)
     report = AxiomReport()
@@ -234,9 +232,7 @@ def induced_monad_on_comodule(bim: WeakBraidedBimonad, ent: EntwiningData,
         report.add(compare(_MONAD_LAW_IDS[axiom_id], transpose(lhs),
                            transpose(rhs)))
     return InducedMonad(
-        idempotent=transpose(gamma),
-        splitting=exactmat.Splitting(p=split.i.transpose(),
-                                     i=split.p.transpose(), rank=split.rank),
+        idempotent=transpose(gamma), p=transpose(i), i=transpose(p),
         coaction=transpose(act), m_component=transpose(delta0),
         e_component=transpose(eps0), report=report)
 
@@ -260,9 +256,7 @@ def coinvariants(bim: WeakBraidedBimonad, ent: EntwiningData,
     canonical = compose([
         tensor(bim.e, idd), tensor(bim.delta, idd), tensor(one, mod.h),
     ])
-    basis = kernel_basis(mod.theta.mat - canonical.mat)
-    dim = basis.cols
-    inclusion = TensorMap((dim,), (mod.dim,), basis)
+    inclusion = equaliser(mod.theta, canonical)
     report = AxiomReport()
     projection = None
     if antipode is not None:
@@ -271,21 +265,18 @@ def coinvariants(bim: WeakBraidedBimonad, ent: EntwiningData,
         report.add(idem)
         if not idem.holds:
             raise InconsistencyError("coinv.beta-idem failed with an antipode")
-        split = split_idempotent(beta.mat)
+        q_map, i_map = split(beta)
         report.add(AxiomEntry("coinv.beta-span",
-                              same_column_span(split.i, basis), None))
-        q_map = TensorMap((mod.dim,), (split.rank,), split.p)
-        i_map = TensorMap((split.rank,), (mod.dim,), split.i)
+                              same_column_span(i_map.mat, inclusion.mat),
+                              None))
         report.add(compare("coinv.prop75-square",
                            compose([mod.theta, tensor(one, beta), mod.h]), idd))
         report.add(compare("coinv.prop76-splitwitness",
                            compose([mod.theta, tensor(one, q_map),
                                     tensor(one, i_map), mod.h]), idd))
-        inclusion = i_map
-        projection = q_map
-        dim = split.rank
-    return Coinvariants(dim=dim, inclusion=inclusion, projection=projection,
-                        report=report)
+        inclusion, projection = i_map, q_map
+    return Coinvariants(dim=inclusion.dom[0], inclusion=inclusion,
+                        projection=projection, report=report)
 
 
 def induce_from_base(bim: WeakBraidedBimonad, base: BaseObject,
@@ -294,15 +285,13 @@ def induce_from_base(bim: WeakBraidedBimonad, base: BaseObject,
     one = bim.id1()
     idn = identity_map((nb.dim,))
     rho_r = compose([tensor(one, base.iota), bim.m])
-    diff = tensor(rho_r, idn).mat - tensor(one, nb.g).mat
-    proj, t = exactmat.cokernel_projection(diff)
-    l_n = TensorMap((bim.n, nb.dim), (t,), proj)
-    h_q = _factor_through_surjection(compose([tensor(bim.m, idn), l_n]),
-                                     tensor(one, l_n), "induced module action")
-    theta_q = _factor_through_surjection(
+    l_n = coequaliser(tensor(rho_r, idn), tensor(one, nb.g))
+    h_q = factor_through(compose([tensor(bim.m, idn), l_n]), tensor(one, l_n),
+                         "induced module action")
+    theta_q = factor_through(
         compose([tensor(bim.delta, idn), tensor(one, l_n)]), l_n,
         "induced module coaction")
-    induced = MixedBimodule(dim=t, h=h_q, theta=theta_q,
+    induced = MixedBimodule(dim=l_n.cod[0], h=h_q, theta=theta_q,
                             name=f"induced({nb.dim})")
     return induced, l_n
 
@@ -349,7 +338,7 @@ def fundamental_roundtrip(bim: WeakBraidedBimonad, ent: EntwiningData,
     # it respects them
     phi = compose([tensor(one, coin.inclusion), mod.h])
     try:
-        comp = _factor_through_surjection(phi, l_n, "comparison map")
+        comp = factor_through(phi, l_n, "comparison map")
     except FactorizationFailed as exc:
         raise RoundTripFailed(str(exc), rank_defect=-1) from None
     comp_rank = exactmat.rank(comp.mat)

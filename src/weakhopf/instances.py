@@ -379,6 +379,9 @@ def check_max_dim(n: int, max_dim) -> None:
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply",
+                          str(path)) from None
     except ValueError as exc:
         # also an int literal over Python's digit limit, or bytes not UTF-8
         raise SchemaError(f"not valid JSON: {exc}", str(path)) from None
@@ -425,8 +428,9 @@ def from_doc(doc, max_dim=None) -> WeakBraidedBimonad:
             raise SchemaError("grading is only meaningful with tau = \"flip\"",
                               "grading")
         tau_map = _read_map(doc, "tau", h2, h2)
-    tau_prime_map = (_read_map(doc, "tau_prime", h2, h2)
-                     if "tau_prime" in doc else None)
+    # a graded flip is an involution by construction: its own tau_prime
+    tau_prime_map = (_read_map(doc, "tau_prime", h2, h2) if "tau_prime" in doc
+                     else tau_map if tau_field == "flip" else None)
 
     expected = doc.get("expected")
     if expected is not None:

@@ -53,7 +53,7 @@ class Pipeline:
     def entwining(self) -> EntwiningData:
         self.require()
         ent = self.entwining_maps
-        if ent.kappa_split is None or ent.kappa_prime_split is None:
+        if ent.pbar is None or ent.pbar_prime is None:
             raise NotIdempotent("kappa or kappa_prime is not idempotent")
         return ent
 
@@ -67,7 +67,7 @@ class Pipeline:
 
     @cached_property
     def galois(self) -> GaloisData:
-        return build_galois(self.bim, self.entwining, self.base, self.actions)
+        return build_galois(self.bim, self.entwining, self.actions)
 
     @cached_property
     def antipode(self) -> Optional[hopf.Antipode]:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from math import prod
 
 from . import exactmat
-from .errors import ArityMismatch, DimensionMismatch, ExprSyntaxError
+from .errors import (ArityMismatch, DimensionMismatch, ExprSyntaxError,
+                     FactorizationFailed)
 from .exactmat import Mat
 
 
@@ -223,6 +224,49 @@ def transpose(f: TensorMap) -> TensorMap:
     return TensorMap(f.cod, f.dom, f.mat.transpose())
 
 
+# ---------------------------------------------------------------------------
+# universal constructions: every splitting, (co)equaliser and factorisation
+# of the library is one of these four
+# ---------------------------------------------------------------------------
+
+def split(e: TensorMap):
+    """The splitting (p, i) of the idempotent e through its image, so that
+    compose([p, i]) == e and compose([i, p]) is the identity there; raises
+    NotIdempotent when e . e != e."""
+    s = exactmat.split_idempotent(e.mat)
+    image = (s.rank,)
+    return TensorMap(e.dom, image, s.p), TensorMap(image, e.cod, s.i)
+
+
+def equaliser(f: TensorMap, g: TensorMap) -> TensorMap:
+    """The inclusion of the kernel of f - g into the common domain."""
+    basis = exactmat.kernel_basis(f.mat - g.mat)
+    return TensorMap((basis.cols,), f.dom, basis)
+
+
+def coequaliser(f: TensorMap, g: TensorMap) -> TensorMap:
+    """The projection of the common codomain onto the cokernel of f - g."""
+    proj, t = exactmat.cokernel_projection(f.mat - g.mat)
+    return TensorMap(f.cod, (t,), proj)
+
+
+def factor_through(target: TensorMap, proj: TensorMap, what: str,
+                   failure: str = "map does not factor through quotient"
+                   ) -> TensorMap:
+    """Unique g with g . proj = target, computed via the section of proj.
+
+    For proj the cokernel of some relations, g . proj = target holds exactly
+    when target vanishes on them; otherwise FactorizationFailed(failure).
+    """
+    sec = exactmat.section(proj.mat)
+    if sec is None:
+        raise FactorizationFailed(f"{what}: projection is not surjective")
+    g = TensorMap(proj.cod, target.cod, exactmat.mul(target.mat, sec))
+    if exactmat.mul(g.mat, proj.mat) != target.mat:
+        raise FactorizationFailed(f"{what}: {failure}")
+    return g
+
+
 def lift(f: TensorMap, left: int, right: int) -> TensorMap:
     """Whisker with identities: id^left (x) f (x) id^right.
 
@@ -406,13 +450,21 @@ class _Parser:
 
 
 def parse_expr(text: str, env, base_dim=None) -> TensorMap:
-    """Parse and evaluate an expression to an arity-checked TensorMap."""
+    """Parse and evaluate an expression to an arity-checked TensorMap.
+
+    Parsing and evaluation recurse once per level of the parse tree; a tree
+    deeper than the interpreter's recursion limit raises ExprSyntaxError.
+    """
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    parser.take("end")
-    if base_dim is None:
-        for f in env.values():
-            base_dim = f.base_dim()
-            if base_dim is not None:
-                break
-    return node.eval(env, base_dim)
+    try:
+        node = parser.expr()
+        parser.take("end")
+        if base_dim is None:
+            for f in env.values():
+                base_dim = f.base_dim()
+                if base_dim is not None:
+                    break
+        return node.eval(env, base_dim)
+    except RecursionError:
+        last = parser.tokens[min(parser.k, len(parser.tokens) - 1)]
+        raise ExprSyntaxError("expression nested too deeply", last[2]) from None

@@ -73,7 +73,7 @@ def test_criterion_3_base_object():
                          "base.separable", "base.upsilon-unit",
                          "base.upsilon-left", "base.upsilon-right"):
             assert frob.entry(entry_id).holds, (name, entry_id)
-        pi = bo.check_pi_splitting(bim, base)
+        pi = bo.check_pi_splitting(bim, base, pipe.actions)
         assert pi.passed, (name, pi.failed_ids())
     _report("criterion 3 (base object dims, Frobenius, pi-splitting)")
 
@@ -147,13 +147,13 @@ def test_criterion_6_fundamental_theorem_consistency():
 
         one = bim.id1()
         remark_gamma_inv = compose([
-            ent.ibar(), lift(bim.delta, 0, 1),
+            ent.ibar, lift(bim.delta, 0, 1),
             tensor(one, antipode.map, one), lift(bim.m, 1, 0), gal.l])
         assert remark_gamma_inv.mat == invert(gal.gamma.mat), name
         remark_gp_inv = compose([
             gal.can, lift(bim.delta, 1, 0),
             tensor(one, antipode.map, one), lift(bim.m, 0, 1),
-            ent.pbar_prime()])
+            ent.pbar_prime])
         assert remark_gp_inv.mat == invert(gal.gamma_prime.mat), name
     _report("criterion 6 (Thm (a)<=>(d)<=>(e) verdicts and Remark inverses)")
 

@@ -16,7 +16,7 @@ def test_base_dims(any_pipeline):
 
 def test_splitting_recomposes_xibar(any_pipeline):
     base, ent = any_pipeline.base, any_pipeline.entwining
-    assert base.xibar_map() == ent.xibar
+    assert compose([base.q, base.iota]) == ent.xibar
     assert compose([base.iota, base.q]).mat == Mat.identity(base.r)
 
 
@@ -26,7 +26,8 @@ def test_frobenius_separable(any_pipeline):
 
 
 def test_pi_splitting(any_pipeline):
-    report = bo.check_pi_splitting(any_pipeline.bim, any_pipeline.base)
+    report = bo.check_pi_splitting(any_pipeline.bim, any_pipeline.base,
+                                   any_pipeline.actions)
     assert report.passed, report.failed_ids()
 
 
@@ -100,7 +101,7 @@ def test_broken_separability_fails_pi_section(g2):
     scaled = dataclasses.replace(
         base, delta_base=dataclasses.replace(base.delta_base,
                                              mat=base.delta_base.mat.scale(2)))
-    report = bo.check_pi_splitting(g2.bim, scaled)
+    report = bo.check_pi_splitting(g2.bim, scaled, g2.actions)
     assert not report.entry("pi.section").holds
 
 

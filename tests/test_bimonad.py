@@ -1,4 +1,5 @@
 import dataclasses
+from importlib import resources
 
 import pytest
 
@@ -139,3 +140,14 @@ def test_replace_derives_nabla_from_the_new_pair(z2):
     bim = dataclasses.replace(z2.bim, tau=t, tau_prime=t)
     assert bim.nabla == compose([t, t])
     assert "nabla" not in {f.name for f in dataclasses.fields(bim) if f.init}
+
+
+def test_replace_derives_nabla_afresh_after_it_was_read():
+    bim = inst.load(resources.files("weakhopf") / "data" / "z2.instance")
+    assert bim.nabla == identity_map((2, 2))  # built on this read and kept
+    t = hmap(2, 2, 2, Mat.from_entries(4, 4, {(0, 0): 2, (2, 1): 1,
+                                              (1, 2): 1, (3, 3): 1}))
+    other = dataclasses.replace(bim, tau=t, tau_prime=t)
+    assert other.nabla == compose([t, t]) != bim.nabla
+    assert dataclasses.replace(other, tau_prime=None, tau=bim.tau).nabla == \
+        bim.nabla

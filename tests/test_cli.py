@@ -287,3 +287,23 @@ def test_hopfmod_malformed_module_is_an_input_error(g2_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: ")
     assert "[theta[1]]" in err
+
+
+# nested past the interpreter's recursion limit, which json.loads and the
+# expression parser reach by recursion
+DEEP = 100_000
+
+
+def test_deeply_nested_json_is_an_input_error(g2_file, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"dim": 2, "m": ' + "[" * DEEP + "]" * DEEP + "}")
+    for argv in (["check", str(deep)], ["hopfmod", g2_file, str(deep)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: not valid JSON: nested too deeply")
+
+
+def test_deeply_nested_expression_is_an_input_error(g2_file, capsys):
+    assert cli.main(["eval", g2_file, "(" * 2000 + "m" + ")" * 2000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: expression nested too deeply")

@@ -180,3 +180,61 @@ def test_malformed_module_documents_raise_only_input_errors(tmp_path):
     text = (DATA / "g2_free.module").read_text()
     _fuzz(text, random.Random("module g2_free"),
           lambda doc: _load_module(tmp_path, doc, max_dim=12), 1000)
+
+
+# ---------------------------------------------------------------------------
+# mutated texts, and JSON nested past the recursion limit, raise SchemaError
+# or InvalidSpec too
+# ---------------------------------------------------------------------------
+
+TEXT_CHARS = '[]{}",:-/0123456789 eflipx'
+
+
+def _mutate_text(text, rng):
+    """Truncate text, or drop, replace or splice in a run of characters."""
+    i = rng.randrange(len(text))
+    j = min(len(text), i + rng.randint(1, 8))
+    action = rng.choice(("truncate", "drop", "replace", "splice"))
+    if action == "truncate":
+        return text[:i]
+    if action == "drop":
+        return text[:i] + text[j:]
+    if action == "replace":
+        return (text[:i] + "".join(rng.choice(TEXT_CHARS)
+                                   for _ in range(j - i)) + text[j:])
+    k = rng.randrange(len(text))
+    return text[:i] + text[k:k + rng.randint(1, 40)] + text[i:]
+
+
+LOADERS = {"instance": lambda path: inst.load(path, max_dim=12),
+           "module": lambda path: inst.load_module(path, G2, max_dim=12)}
+
+
+@pytest.mark.parametrize("name", [
+    *sorted(f"{n}.instance" for n in inst.BUILTINS), "g2_free.module"])
+def test_mutated_texts_raise_only_input_errors(name, tmp_path):
+    text = (DATA / name).read_text()
+    load = LOADERS[name.split(".")[1]]
+    rng = random.Random(f"text {name}")
+    path = tmp_path / name
+    for _ in range(150):
+        mutated = _mutate_text(text, rng)
+        path.write_text(mutated)
+        try:
+            load(path)
+        except (SchemaError, InvalidSpec):
+            pass
+        except Exception as exc:
+            raise AssertionError(f"{exc!r} on {mutated[:400]!r}") from exc
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")])
+def test_json_nested_past_the_recursion_limit_is_a_schema_error(
+        opening, closing, tmp_path):
+    deep = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 2, "m": ' + opening * deep + "0" + closing * deep
+                    + "}")
+    for load in LOADERS.values():
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            load(path)

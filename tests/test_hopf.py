@@ -131,7 +131,7 @@ def test_dual_instances_share_the_verdict():
             ent = ew.build_entwining(dual)
             base = bo.build_base(dual, ent)
             acts = bo.build_actions(dual, base)
-            gal_data = gl.build_galois(dual, ent, base, acts)
+            gal_data = gl.build_galois(dual, ent, acts)
             assert not gal_data.gamma_invertible
         else:
             verdict = hopf.fundamental_verdict(dual)

@@ -2,13 +2,13 @@ import dataclasses
 
 import pytest
 
-from weakhopf import galois, hopf
+from weakhopf import hopf
 from weakhopf import hopfmodules as hm
 from weakhopf import instances as inst
 from weakhopf.bimonad import AxiomEntry, AxiomReport
-from weakhopf.errors import FactorizationFailed, PrerequisiteAxiomFailed
-from weakhopf.exactmat import Mat, mul, same_column_span
-from weakhopf.tensorexpr import TensorMap
+from weakhopf.errors import PrerequisiteAxiomFailed
+from weakhopf.exactmat import Mat, same_column_span
+from weakhopf.tensorexpr import TensorMap, compose
 
 
 def free_module(bim):
@@ -65,7 +65,7 @@ def test_induced_comonad_at_free_module_is_kappa(any_pipeline):
     bim, ent = any_pipeline.bim, any_pipeline.entwining
     induced = hm.induced_comonad_on_module(bim, ent, free_module(bim))
     assert induced.idempotent.mat == ent.kappa.mat
-    assert induced.splitting.rank == ent.gbar_dim
+    assert induced.p.cod == (ent.gbar_dim,)
     assert induced.report.passed, induced.report.failed_ids()
 
 
@@ -73,24 +73,23 @@ def test_induced_monad_at_cofree_comodule_is_kappa_prime(any_pipeline):
     bim, ent = any_pipeline.bim, any_pipeline.entwining
     induced = hm.induced_monad_on_comodule(bim, ent, cofree_comodule(bim))
     assert induced.idempotent.mat == ent.kappa_prime.mat
-    assert induced.splitting.rank == ent.tbar_dim
+    assert induced.p.cod == (ent.tbar_dim,)
     assert induced.report.passed, induced.report.failed_ids()
     assert [e.axiom_id for e in induced.report.entries] == [
         "ind.coaction-coassoc", "ind.coaction-counit", "ind.unit-left",
         "ind.unit-right", "ind.assoc", "ind.m-comodule-morphism",
         "ind.e-comodule-morphism"]
     # the splitting is the transpose of the dual one, in another basis
-    split = induced.splitting
-    assert mul(split.i, split.p) == induced.idempotent.mat
-    assert mul(split.p, split.i) == Mat.identity(split.rank)
+    assert compose([induced.p, induced.i]) == induced.idempotent
+    assert compose([induced.i, induced.p]).mat == Mat.identity(ent.tbar_dim)
 
 
 def test_induced_comonad_split_dims(g2, z2):
     assert hm.induced_comonad_on_module(
-        g2.bim, g2.entwining, free_module(g2.bim)).splitting.rank == 8
+        g2.bim, g2.entwining, free_module(g2.bim)).p.cod == (8,)
     induced = hm.induced_comonad_on_module(z2.bim, z2.entwining, free_module(z2.bim))
     assert induced.idempotent.mat == Mat.identity(4)
-    assert induced.splitting.rank == 4
+    assert induced.p.cod == (4,)
 
 
 def test_induced_structures_reject_non_modules(g2):
@@ -201,13 +200,3 @@ def test_shipped_module_file_round_trips(g2, tmp_path):
     assert hm.check_mixed_bimodule(g2.bim, g2.entwining, module).passed
     out = tmp_path / "roundtrip.module"
     assert inst.save_module(module, g2.bim, out) == text
-
-
-def test_non_surjective_projection_fails_factorization():
-    # the induced-module factorizations use the one galois helper, whose
-    # section check turns a non-surjective projection into a checked failure
-    assert hm._factor_through_surjection is galois._factor_through_surjection
-    proj = TensorMap((2,), (2,), Mat.from_rows([[1, 0], [0, 0]]))
-    target = TensorMap((2,), (1,), Mat.from_rows([[1, 0]]))
-    with pytest.raises(FactorizationFailed, match="not surjective"):
-        hm._factor_through_surjection(target, proj, "test")

@@ -1,9 +1,10 @@
 import json
+from importlib import resources
 
 import pytest
 
 from weakhopf import entwining as ew
-from weakhopf import hopf
+from weakhopf import exactmat, hopf
 from weakhopf import instances as inst
 from weakhopf.errors import (
     IndexOutOfRange,
@@ -14,7 +15,7 @@ from weakhopf.errors import (
 )
 from weakhopf.exactmat import Mat
 from weakhopf.pipeline import Pipeline
-from weakhopf.tensorexpr import compose, flip_map, hmap
+from weakhopf.tensorexpr import compose, flip_map, hmap, identity_map
 
 
 def test_every_generator_output_passes_checks():
@@ -293,3 +294,20 @@ def test_non_commuting_tau_prime_fails_the_same_axioms_on_the_dual():
     failed = Pipeline(bim).failed_axioms
     assert "yb.reg-commute" in failed
     assert Pipeline(inst.dual_instance(bim)).failed_axioms == failed
+
+
+def test_loading_a_builtin_multiplies_no_matrices(monkeypatch):
+    # a "flip" tau is an involution by construction, so it is its own
+    # tau_prime unchecked, and nabla is only built when it is read
+    products = []
+    mul = exactmat.mul
+    monkeypatch.setattr(exactmat, "mul",
+                        lambda a, b: products.append(1) or mul(a, b))
+    for name in sorted(inst.BUILTINS):
+        bim = inst.load(resources.files("weakhopf") / "data"
+                        / f"{name}.instance")
+        assert products == [], name
+        assert bim.tau_prime is bim.tau
+        assert bim.nabla == identity_map((bim.n, bim.n))
+        assert products, name
+        products.clear()

@@ -81,7 +81,8 @@ def test_stages_are_built_once():
 def test_entwining_stage_refuses_a_kappa_that_is_not_idempotent(monkeypatch):
     build = pipeline.build_entwining
     monkeypatch.setattr(pipeline, "build_entwining", lambda bim:
-                        dataclasses.replace(build(bim), kappa_prime_split=None))
+                        dataclasses.replace(build(bim), pbar_prime=None,
+                                            ibar_prime=None))
     pipe = Pipeline(inst.BUILTINS["z2"]())
     assert not pipe.failed_axioms
     with pytest.raises(NotIdempotent):

@@ -8,18 +8,23 @@ from hypothesis import strategies as st
 
 from weakhopf import instances as inst
 from weakhopf import tensorexpr
-from weakhopf.errors import ArityMismatch, DimensionMismatch, ExprSyntaxError
-from weakhopf.exactmat import Mat
+from weakhopf.errors import (ArityMismatch, DimensionMismatch, ExprSyntaxError,
+                             FactorizationFailed, NotIdempotent)
+from weakhopf.exactmat import Mat, rank
 from weakhopf.tensorexpr import (
     TensorMap,
+    coequaliser,
     compose,
     convolution,
+    equaliser,
+    factor_through,
     flip_map,
     from_table,
     hmap,
     identity_map,
     lift,
     parse_expr,
+    split,
     tensor,
     transpose,
 )
@@ -126,6 +131,75 @@ def test_transpose_reverses_composites_and_keeps_tensor_products(g2):
     assert transpose(lift(m, 1, 0)) == lift(transpose(m), 1, 0)
 
 
+def test_split_recomposes_the_idempotent_and_retracts(any_pipeline):
+    ent = any_pipeline.entwining
+    for e in (ent.kappa, ent.kappa_prime, ent.xibar, ent.xi):
+        p, i = split(e)
+        assert p.dom == e.dom and i.cod == e.cod and p.cod == i.dom
+        assert compose([p, i]) == e
+        assert compose([i, p]) == identity_map(p.cod)
+
+
+def test_split_refuses_a_map_that_is_not_idempotent(g2):
+    with pytest.raises(NotIdempotent):
+        split(hmap(2, 1, 1, Mat.from_rows([[2, 1], [0, 1]])))
+    with pytest.raises(NotIdempotent):
+        split(g2.bim.tau)  # an involution other than the identity
+
+
+def test_equaliser_equalises_the_pair(any_pipeline):
+    bim, ent, acts = any_pipeline.bim, any_pipeline.entwining, \
+        any_pipeline.actions
+    one = bim.id1()
+    # the base and the cotensor of the base object and the Galois stage
+    pairs = [(compose([bim.delta, tensor(ent.chi, one)]), bim.delta),
+             (tensor(acts.theta_r, one), tensor(one, acts.theta_l))]
+    for f, g in pairs:
+        incl = equaliser(f, g)
+        assert incl.cod == f.dom
+        assert compose([incl, f]) == compose([incl, g])
+        # injective, and as large as the kernel of f - g
+        assert rank(incl.mat) == incl.dom[0] == f.mat.cols - rank(
+            f.mat - g.mat)
+
+
+def test_coequaliser_coequalises_the_pair(any_pipeline):
+    bim, ent, acts = any_pipeline.bim, any_pipeline.entwining, \
+        any_pipeline.actions
+    one = bim.id1()
+    pairs = [(tensor(acts.rho_r, one), tensor(one, acts.rho_l)),
+             (compose([tensor(ent.chibar, one), bim.m]), bim.m)]
+    for f, g in pairs:
+        proj = coequaliser(f, g)
+        assert proj.dom == f.cod
+        assert compose([f, proj]) == compose([g, proj])
+        # surjective, onto the cokernel of f - g
+        assert rank(proj.mat) == proj.cod[0] == f.mat.rows - rank(
+            f.mat - g.mat)
+
+
+def test_factor_through_finds_the_unique_factor(g2):
+    bim, acts = g2.bim, g2.actions
+    one = bim.id1()
+    proj = coequaliser(tensor(acts.rho_r, one), tensor(one, acts.rho_l))
+    target = compose([proj, transpose(proj)])
+    g = factor_through(target, proj, "test")
+    assert g.dom == proj.cod and g.cod == target.cod
+    assert compose([proj, g]) == target
+    # a target that does not vanish on the relations has no factor
+    with pytest.raises(FactorizationFailed,
+                       match="^test: map does not factor through quotient$"):
+        factor_through(identity_map(proj.dom), proj, "test")
+
+
+def test_factor_through_rejects_a_non_surjective_projection():
+    proj = TensorMap((2,), (2,), Mat.from_rows([[1, 0], [0, 0]]))
+    target = TensorMap((2,), (1,), Mat.from_rows([[1, 0]]))
+    with pytest.raises(FactorizationFailed,
+                       match="^test: projection is not surjective$"):
+        factor_through(target, proj, "test")
+
+
 def test_convolution_primitive_signature(z2):
     bim = z2.bim
     one = bim.id1()
@@ -166,6 +240,15 @@ def test_parse_syntax_error_position():
     assert err.value.pos == 5
     with pytest.raises(ExprSyntaxError):
         parse_expr("m $", {"m": flip_map(2)})
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "m" + ")" * 2000,
+    " ∘ ".join(["id^1"] * 3000),   # a parse tree 3000 levels deep
+])
+def test_parse_refuses_a_tree_deeper_than_the_recursion_limit(text, g2):
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse_expr(text, {"m": g2.bim.m})
 
 
 def test_parse_unknown_name_and_arity_error(g2):
