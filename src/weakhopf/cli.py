@@ -256,7 +256,9 @@ def cmd_eval(args) -> int:
             "chi": ent.chi, "chibar": ent.chibar,
             "kappa": ent.kappa, "kappa_prime": ent.kappa_prime,
         })
-    result = parse_expr(args.expr, env, base_dim=bim.n)
+    # the entries of delta (x) delta on the largest carrier --max-dim admits
+    result = parse_expr(args.expr, env, base_dim=bim.n,
+                        max_entries=args.max_dim ** 6)
     doc = {
         "command": "eval",
         "instance": bim.name,

@@ -83,7 +83,7 @@ class Mat:
         _init(self, rows, cols, *_over_one_den(
             [{j: v for j, v in enumerate(row) if v} for row in data]))
 
-    def __setattr__(self, *a):
+    def __setattr__(self, *_args):
         raise AttributeError("Mat is immutable")
 
     @staticmethod

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import exactmat
-from .baseobject import ActionData, BaseObject
+from .baseobject import ActionData
 from .bimonad import AxiomReport, WeakBraidedBimonad, compare
 from .entwining import EntwiningData
 from .errors import InconsistencyError, NotInvertible
@@ -146,8 +146,7 @@ def build_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
 
 
 def check_remark_inverses(bim: WeakBraidedBimonad, ent: EntwiningData,
-                          base: BaseObject, gal: GaloisData,
-                          antipode) -> AxiomReport:
+                          gal: GaloisData, antipode) -> AxiomReport:
     """The explicit inverse formulas built from the antipode:
 
         gamma^-1       = l . (id (x) m) . (id (x) S (x) id) . (delta (x) id) . ibar

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .baseobject import BaseObject
 from .bimonad import AxiomReport, WeakBraidedBimonad, compare
 # bound here for bench/test_bench.py, which traces names imported by name
 from .bimonad import require_instance  # noqa: F401
@@ -70,7 +69,7 @@ def check_antipode(bim: WeakBraidedBimonad, ent: EntwiningData,
 
 
 def construct_antipode_from_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
-                                   base: BaseObject, gal: GaloisData) -> Antipode:
+                                   gal: GaloisData) -> Antipode:
     """S = q_tilde . gamma^-1 . pbar . (id (x) e); the defining conditions are
     theorem-backed, so a failing check is a fatal inconsistency.  The passing
     check is kept as the antipode's ``report``."""

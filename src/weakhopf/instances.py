@@ -340,9 +340,10 @@ def to_json_text(bim: WeakBraidedBimonad, expected=None) -> str:
         doc["tau"] = "flip"
         if any(grading):
             doc["grading"] = list(grading)
-    # with tau_prime = tau, nabla is tau . tau
-    if (bim.tau_prime != bim.tau
-            or not maps_equal(bim.nabla, identity_map((n, n)))):
+    # with tau_prime = tau, nabla is tau . tau: the identity when tau is a
+    # graded flip
+    if bim.tau_prime != bim.tau or (
+            grading is None and not maps_equal(bim.nabla, identity_map((n, n)))):
         doc["tau_prime"] = write_map(bim.tau_prime)
     exp = expected if expected is not None else bim.expected
     if exp:
@@ -468,7 +469,7 @@ def load_module(path, bim: WeakBraidedBimonad, max_dim=None):
     return MixedBimodule(dim=d, h=h, theta=theta, name=name)
 
 
-def save_module(mod, bim: WeakBraidedBimonad, path) -> str:
+def save_module(mod, path) -> str:
     text = json_text({"name": mod.name or "module", "dim": mod.dim,
                       "h": write_map(mod.h),
                       "theta": write_map(mod.theta, cod_first=True)})

@@ -76,7 +76,7 @@ class Pipeline:
         if not self.galois.gamma_invertible:
             return None
         return hopf.construct_antipode_from_galois(
-            self.bim, self.entwining, self.base, self.galois)
+            self.bim, self.entwining, self.galois)
 
     @cached_property
     def linear(self) -> Optional[hopf.Antipode]:

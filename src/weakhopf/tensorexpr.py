@@ -314,55 +314,6 @@ def maps_equal(f: TensorMap, g: TensorMap) -> bool:
 # '⊗' binds tighter than '∘'.
 # ---------------------------------------------------------------------------
 
-class MapExpr:
-    """Parse-tree node; evaluates to an arity-checked TensorMap."""
-
-    def eval(self, env, base_dim):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class GenExpr(MapExpr):
-    name: str
-    pos: int
-
-    def eval(self, env, base_dim):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise ExprSyntaxError(f"unknown name {self.name!r}", self.pos) from None
-
-
-@dataclass(frozen=True)
-class IdExpr(MapExpr):
-    arity: int
-    pos: int
-
-    def eval(self, env, base_dim):
-        if base_dim is None:
-            raise ExprSyntaxError("cannot size 'id' without a known carrier", self.pos)
-        return identity_map((base_dim,) * self.arity)
-
-
-@dataclass(frozen=True)
-class CompExpr(MapExpr):
-    # mathematical order: left after right
-    left: MapExpr
-    right: MapExpr
-
-    def eval(self, env, base_dim):
-        return compose([self.right.eval(env, base_dim), self.left.eval(env, base_dim)])
-
-
-@dataclass(frozen=True)
-class TensExpr(MapExpr):
-    left: MapExpr
-    right: MapExpr
-
-    def eval(self, env, base_dim):
-        return tensor(self.left.eval(env, base_dim), self.right.eval(env, base_dim))
-
-
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
                     r"|(?P<op>[∘⊗^()]))")
 
@@ -403,9 +354,15 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    """Evaluates an expression as it reads it: a '∘' chain is one compose
+    and a '⊗' chain one tensor, so only parentheses nest."""
+
+    def __init__(self, tokens, env, base_dim, max_entries):
         self.tokens = tokens
         self.k = 0
+        self.env = env
+        self.base_dim = base_dim
+        self.max_entries = max_entries
 
     def peek(self):
         return self.tokens[self.k]
@@ -417,54 +374,92 @@ class _Parser:
         self.k += 1
         return tok
 
+    def bound(self, entries, legs, what, pos):
+        """Refuse a map of rows x cols = entries over legs tensor factors
+        when either exceeds max_entries."""
+        if self.max_entries is not None and max(entries, legs) > self.max_entries:
+            raise ExprSyntaxError(
+                f"{what} exceeds the bound of {self.max_entries} entries", pos)
+
     def expr(self):
-        node = self.term()
+        pos = self.peek()[2]
+        chain = [self.term()]
         while self.peek()[0] == "compose":
             self.take("compose")
-            node = CompExpr(node, self.term())
-        return node
+            chain.append(self.term())
+        self.bound(prod(chain[0].cod) * prod(chain[-1].dom), 0, "∘ chain",
+                   pos)
+        return compose(reversed(chain))
 
     def term(self):
-        node = self.factor()
+        factors = [self.factor()]
+        entries = prod(factors[0].dom) * prod(factors[0].cod)
+        legs = len(factors[0].dom) + len(factors[0].cod)
         while self.peek()[0] == "tensor":
             self.take("tensor")
-            node = TensExpr(node, self.factor())
-        return node
+            pos = self.peek()[2]
+            f = self.factor()
+            entries *= prod(f.dom) * prod(f.cod)
+            legs += len(f.dom) + len(f.cod)
+            self.bound(entries, legs, "⊗ chain", pos)
+            factors.append(f)
+        return tensor(*factors)
 
     def factor(self):
         kind, value, pos = self.peek()
         if kind == "lparen":
             self.take("lparen")
-            node = self.expr()
+            f = self.expr()
             self.take("rparen")
-            return node
+            return f
         if kind == "id":
             self.take("id")
             self.take("caret")
             _, arity, _ = self.take("int")
-            return IdExpr(arity, pos)
+            n = self.base_dim
+            if n is None:
+                raise ExprSyntaxError("cannot size 'id' without a known carrier",
+                                      pos)
+            bound = self.max_entries
+            # for n > 1, n ** (2 * arity) >= 4 ** arity: an arity past the
+            # bound's bit length is refused without the power being computed
+            if bound is not None and (
+                    n > 1 and 2 * arity >= bound.bit_length()
+                    or max(n ** (2 * arity), 2 * arity) > bound):
+                raise ExprSyntaxError(
+                    f"id^{arity} exceeds the bound of {bound} entries", pos)
+            return identity_map((n,) * arity)
         if kind == "name":
             self.take("name")
-            return GenExpr(value, pos)
+            try:
+                f = self.env[value]
+            except KeyError:
+                raise ExprSyntaxError(f"unknown name {value!r}", pos) from None
+            self.bound(prod(f.dom) * prod(f.cod), len(f.dom) + len(f.cod),
+                       repr(value), pos)
+            return f
         raise ExprSyntaxError(f"unexpected token {value!r}", pos)
 
 
-def parse_expr(text: str, env, base_dim=None) -> TensorMap:
+def parse_expr(text: str, env, base_dim=None, max_entries=None) -> TensorMap:
     """Parse and evaluate an expression to an arity-checked TensorMap.
 
-    Parsing and evaluation recurse once per level of the parse tree; a tree
+    base_dim sizes 'id^k'; by default it is the carrier of the env's maps.
+    With max_entries, a factor or chain of more entries (rows x cols), or
+    more tensor factors, is refused with ExprSyntaxError before its matrix
+    is built.  Parsing recurses once per level of parentheses; nesting
     deeper than the interpreter's recursion limit raises ExprSyntaxError.
     """
-    parser = _Parser(_tokenize(text))
+    if base_dim is None:
+        for f in env.values():
+            base_dim = f.base_dim()
+            if base_dim is not None:
+                break
+    parser = _Parser(_tokenize(text), env, base_dim, max_entries)
     try:
-        node = parser.expr()
+        result = parser.expr()
         parser.take("end")
-        if base_dim is None:
-            for f in env.values():
-                base_dim = f.base_dim()
-                if base_dim is not None:
-                    break
-        return node.eval(env, base_dim)
+        return result
     except RecursionError:
         last = parser.tokens[min(parser.k, len(parser.tokens) - 1)]
         raise ExprSyntaxError("expression nested too deeply", last[2]) from None

@@ -104,25 +104,25 @@ def test_criterion_4_galois():
 def test_criterion_5_antipode():
     def build(name):
         pipe = Pipeline(inst.BUILTINS[name]())
-        return pipe.bim, pipe.entwining, pipe.base, pipe.galois
+        return pipe.bim, pipe.entwining, pipe.galois
 
-    bim, ent, base, gal = build("g2")
-    antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
+    bim, ent, gal = build("g2")
+    antipode = hopf.construct_antipode_from_galois(bim, ent, gal)
     assert antipode.map == inst.groupoid_antipode(inst.full_groupoid(2))
     report = hopf.check_antipode(bim, ent, antipode.map)
     assert report.passed, report.failed_ids()
     assert {e.axiom_id for e in report.entries} == {
         "hopf.one-conv-S", "hopf.S-conv-one", "hopf.S-one-S", "hopf.one-S-one"}
 
-    bim, ent, base, gal = build("sl")
-    antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
+    bim, ent, gal = build("sl")
+    antipode = hopf.construct_antipode_from_galois(bim, ent, gal)
     assert antipode.map.mat == Mat.from_rows([[1, 0], [0, -1]])
     assert hopf.check_antipode(bim, ent, antipode.map).passed
 
-    bim, ent, base, gal = build("nz")
+    bim, ent, gal = build("nz")
     assert hopf.solve_antipode_linear(bim, ent) is None
     try:
-        hopf.construct_antipode_from_galois(bim, ent, base, gal)
+        hopf.construct_antipode_from_galois(bim, ent, gal)
         raise AssertionError("NZ construction should fail")
     except GaloisNotInvertible as err:
         assert err.rank == 3
@@ -137,9 +137,9 @@ def test_criterion_6_fundamental_theorem_consistency():
         assert verdict.hopf is (name != "nz")
     for name in ("g2", "z2", "sl"):
         pipe = Pipeline(inst.BUILTINS[name]())
-        bim, ent, base, gal = pipe.bim, pipe.entwining, pipe.base, pipe.galois
-        antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
-        report = gl.check_remark_inverses(bim, ent, base, gal, antipode)
+        bim, ent, gal = pipe.bim, pipe.entwining, pipe.galois
+        antipode = hopf.construct_antipode_from_galois(bim, ent, gal)
+        report = gl.check_remark_inverses(bim, ent, gal, antipode)
         assert report.passed, (name, report.failed_ids())
         # entrywise: the remark composite equals the computed exact inverse
         from weakhopf.exactmat import invert
@@ -163,7 +163,7 @@ def test_criterion_7_hopf_module_round_trip():
     for name in ("g2", "z2"):
         pipe = Pipeline(inst.BUILTINS[name]())
         bim, ent, base, gal = pipe.bim, pipe.entwining, pipe.base, pipe.galois
-        antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
+        antipode = hopf.construct_antipode_from_galois(bim, ent, gal)
         module = hm.K_omega(bim, 1)
         coin = hm.coinvariants(bim, ent, antipode, module)
         assert coin.dim == expected_coinv[name]
@@ -175,7 +175,7 @@ def test_criterion_7_hopf_module_round_trip():
     for name in ("g2", "k2", "z2", "sl"):
         pipe = Pipeline(inst.BUILTINS[name]())
         bim, ent, base, gal = pipe.bim, pipe.entwining, pipe.base, pipe.galois
-        antipode = hopf.construct_antipode_from_galois(bim, ent, base, gal)
+        antipode = hopf.construct_antipode_from_galois(bim, ent, gal)
         modules = [hm.K_omega(bim, d) for d in (1, 2)]
         if name == "g2":
             from importlib import resources

@@ -307,3 +307,25 @@ def test_deeply_nested_expression_is_an_input_error(g2_file, capsys):
     assert cli.main(["eval", g2_file, "(" * 2000 + "m" + ")" * 2000]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: expression nested too deeply")
+
+
+def test_eval_of_a_long_flat_chain_succeeds(g2_file, capsys):
+    code, out = run(["eval", g2_file, " ∘ ".join(["id^1"] * 3000 + ["m"])],
+                    capsys)
+    assert code == 0
+    assert out.startswith("map (4, 4) -> (4,)")
+
+
+@pytest.mark.parametrize("expr", ["id^12", " ⊗ ".join(["id^1"] * 3000)])
+def test_eval_above_the_entry_bound_is_a_prompt_input_error(g2_file, capsys,
+                                                            expr):
+    start = time.perf_counter()
+    assert cli.main(["eval", g2_file, expr]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the bound of 2985984 entries" in capsys.readouterr().err
+
+
+def test_eval_within_the_entry_bound_evaluates(g2_file, capsys):
+    code, out = run(["eval", g2_file, "id^5"], capsys)   # 4^10 entries
+    assert code == 0
+    assert out.startswith("map (4, 4, 4, 4, 4) -> (4, 4, 4, 4, 4)")

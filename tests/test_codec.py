@@ -100,7 +100,7 @@ def test_dense_module_round_trips_byte_for_byte(tmp_path):
     path = tmp_path / "dense.module"
     path.write_text(text)
     module = inst.load_module(path, G2)
-    assert inst.save_module(module, G2, tmp_path / "again.module") == text
+    assert inst.save_module(module, tmp_path / "again.module") == text
     assert (tmp_path / "again.module").read_text() == text
 
 

@@ -169,14 +169,14 @@ def test_convolution_cancellation_property(any_pipeline):
 def test_remark_inverses_on_hopf_instances(g2, z2, sl):
     for pipe in (g2, z2, sl):
         antipode = hopf.construct_antipode_from_galois(
-            pipe.bim, pipe.entwining, pipe.base, pipe.galois)
-        report = gl.check_remark_inverses(pipe.bim, pipe.entwining, pipe.base,
+            pipe.bim, pipe.entwining, pipe.galois)
+        report = gl.check_remark_inverses(pipe.bim, pipe.entwining,
                                           pipe.galois, antipode)
         assert report.passed, report.failed_ids()
 
 
 def test_remark_formula_reproduces_exact_inverse(g2):
-    antipode = hopf.construct_antipode_from_galois(g2.bim, g2.entwining, g2.base,
+    antipode = hopf.construct_antipode_from_galois(g2.bim, g2.entwining,
                                                    g2.galois)
     from weakhopf.tensorexpr import lift
 

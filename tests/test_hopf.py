@@ -51,27 +51,27 @@ def test_identity_is_an_antipode_for_z2(z2):
 
 
 def test_construction_recovers_groupoid_inverse(g2):
-    antipode = hopf.construct_antipode_from_galois(g2.bim, g2.entwining, g2.base,
+    antipode = hopf.construct_antipode_from_galois(g2.bim, g2.entwining,
                                                    g2.galois)
     assert antipode.origin == "from_galois"
     assert antipode.map == inst.groupoid_antipode(inst.full_groupoid(2))
 
 
 def test_construction_on_superline_flips_sign(sl):
-    antipode = hopf.construct_antipode_from_galois(sl.bim, sl.entwining, sl.base,
+    antipode = hopf.construct_antipode_from_galois(sl.bim, sl.entwining,
                                                    sl.galois)
     assert antipode.map.mat == Mat.from_rows([[1, 0], [0, -1]])
 
 
 def test_construction_on_z2_is_identity(z2):
-    antipode = hopf.construct_antipode_from_galois(z2.bim, z2.entwining, z2.base,
+    antipode = hopf.construct_antipode_from_galois(z2.bim, z2.entwining,
                                                    z2.galois)
     assert antipode.map == z2.bim.id1()
 
 
 def test_construction_refuses_singular_gamma(nz):
     with pytest.raises(GaloisNotInvertible) as err:
-        hopf.construct_antipode_from_galois(nz.bim, nz.entwining, nz.base, nz.galois)
+        hopf.construct_antipode_from_galois(nz.bim, nz.entwining, nz.galois)
     assert err.value.rank == 3
 
 
@@ -104,7 +104,7 @@ def test_derived_antipode_absorptions(g2, sl):
     # S*1*S = S*xi = S implies xibar*S = S and S*xi = S for each construction
     for pipe in (g2, sl):
         bim, ent = pipe.bim, pipe.entwining
-        built = hopf.construct_antipode_from_galois(bim, ent, pipe.base,
+        built = hopf.construct_antipode_from_galois(bim, ent,
                                                     pipe.galois)
         solved = hopf.solve_antipode_linear(bim, ent)
         for antipode in (built, solved):
@@ -117,7 +117,7 @@ def test_both_construction_paths_give_the_unique_antipode(g2, k2, z2, sl):
     # S = S*1*S = S'*1*S' = S' for any two weak antipodes S and S'
     for pipe in (g2, k2, z2, sl):
         built = hopf.construct_antipode_from_galois(pipe.bim, pipe.entwining,
-                                                    pipe.base, pipe.galois)
+                                                    pipe.galois)
         solved = hopf.solve_antipode_linear(pipe.bim, pipe.entwining)
         assert built.map == solved.map
 

@@ -21,7 +21,7 @@ def cofree_comodule(bim):
 
 
 def antipode_of(pipe):
-    return hopf.construct_antipode_from_galois(pipe.bim, pipe.entwining, pipe.base,
+    return hopf.construct_antipode_from_galois(pipe.bim, pipe.entwining,
                                                pipe.galois)
 
 
@@ -199,4 +199,4 @@ def test_shipped_module_file_round_trips(g2, tmp_path):
     assert module.dim == 4
     assert hm.check_mixed_bimodule(g2.bim, g2.entwining, module).passed
     out = tmp_path / "roundtrip.module"
-    assert inst.save_module(module, g2.bim, out) == text
+    assert inst.save_module(module, out) == text

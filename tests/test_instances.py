@@ -311,3 +311,18 @@ def test_loading_a_builtin_multiplies_no_matrices(monkeypatch):
         assert bim.nabla == identity_map((bim.n, bim.n))
         assert products, name
         products.clear()
+
+
+def test_writing_a_loaded_builtin_multiplies_no_matrices(monkeypatch):
+    # its tau is a graded flip and its own tau_prime, so nabla is the
+    # identity and need not be built to decide that tau_prime is implied
+    products = []
+    mul = exactmat.mul
+    monkeypatch.setattr(exactmat, "mul",
+                        lambda a, b: products.append(1) or mul(a, b))
+    for name in sorted(inst.BUILTINS):
+        path = resources.files("weakhopf") / "data" / f"{name}.instance"
+        bim = inst.load(path)
+        text = inst.to_json_text(bim)
+        assert products == [], name
+        assert "tau_prime" not in json.loads(text), name

@@ -242,13 +242,40 @@ def test_parse_syntax_error_position():
         parse_expr("m $", {"m": flip_map(2)})
 
 
-@pytest.mark.parametrize("text", [
-    "(" * 2000 + "m" + ")" * 2000,
-    " ∘ ".join(["id^1"] * 3000),   # a parse tree 3000 levels deep
-])
+@pytest.mark.parametrize("text", ["(" * 2000 + "m" + ")" * 2000])
 def test_parse_refuses_a_tree_deeper_than_the_recursion_limit(text, g2):
+    # only parentheses nest: a flat chain is one compose or tensor
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
         parse_expr(text, {"m": g2.bim.m})
+
+
+def test_parse_evaluates_a_long_flat_chain_as_one_composite(g2):
+    text = " ∘ ".join(["id^1"] * 3000 + ["m"])
+    assert parse_expr(text, {"m": g2.bim.m}) == g2.bim.m
+
+
+def test_parse_reports_the_first_error_in_reading_order(g2):
+    with pytest.raises(ExprSyntaxError, match="unknown name 'nosuch'"):
+        parse_expr("nosuch ∘ (", {"m": g2.bim.m})
+
+
+@pytest.mark.parametrize("text, base_dim, what, pos", [
+    ("id^2 ⊗ m", 4, "id^2", 0),                # 16 x 16
+    ("id^99999999999999999999", 4, "id^99999999999999999999", 0),
+    ("delta ⊗ eps", 4, "⊗ chain", 8),          # 64 x 4
+    ("delta ∘ m", 4, "∘ chain", 0),            # 16 x 16, from two maps of 64
+    ("id^33", 1, "id^33", 0),                  # 1 x 1 over 66 factors
+    ("id^16 ⊗ id^17", 1, "⊗ chain", 8),
+])
+def test_parse_refuses_a_map_above_the_entry_bound(text, base_dim, what, pos,
+                                                   g2):
+    env = {"m": g2.bim.m, "delta": g2.bim.delta, "eps": g2.bim.eps}
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, env, base_dim=base_dim, max_entries=64)
+    assert str(err.value).startswith(f"{what} exceeds the bound of 64 entries")
+    assert err.value.pos == pos
+    assert parse_expr("id^16 ⊗ id^16", env, base_dim=1,
+                      max_entries=64).dom == (1,) * 32
 
 
 def test_parse_unknown_name_and_arity_error(g2):
