@@ -129,10 +129,6 @@ class WeakBraidedBimonad:
     def convolve(self, f: TensorMap, g: TensorMap) -> TensorMap:
         return convolution(f, g, self.m, self.delta)
 
-    def conv_unit(self) -> TensorMap:
-        """e . eps, the identity of the convolution monoid."""
-        return compose([self.eps, self.e])
-
 
 # ---------------------------------------------------------------------------
 # checkers

@@ -26,7 +26,7 @@ class NotIdempotent(WeakHopfError):
 
 
 class NotInvertible(WeakHopfError):
-    """Square matrix is singular; carries the computed rank as witness."""
+    """Matrix is singular or not square; carries its rank as witness."""
 
     def __init__(self, rank, dims=None):
         msg = f"matrix is not invertible (rank {rank}"

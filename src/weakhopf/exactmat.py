@@ -196,9 +196,6 @@ class Mat:
                 out[r][c] = v
         return _make(rows, cols, tuple(out), self.den)
 
-    def is_zero_mat(self):
-        return not any(self.rowmaps)
-
     def column_mat(self, js):
         """Submatrix made of the listed columns, in the given order."""
         at = {j: t for t, j in enumerate(js)}
@@ -555,7 +552,7 @@ def _right_block(red: Mat, rowcount: int, off: int, width: int):
 def invert(m: Mat) -> Mat:
     """Exact inverse via Gauss-Jordan; raises NotInvertible with the rank."""
     if m.rows != m.cols:
-        raise NotInvertible(min(m.rows, m.cols), dims=(m.rows, m.cols))
+        raise NotInvertible(rank(m), dims=(m.rows, m.cols))
     n = m.rows
     red, pivots = rref(_hstack(m, Mat.identity(n)))
     lead = [c for c in pivots if c < n]

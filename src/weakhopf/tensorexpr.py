@@ -29,11 +29,11 @@ class TensorMap:
     """Linear map prod(dom) -> prod(cod) tagged with its tensor factorization.
 
     The map is held as ``steps``: whiskered factors ``(g, left, right)`` in
-    diagram order, each acting as ``I_left (x) g (x) I_right``.  A map built
-    from a matrix is the one step ``(mat, 1, 1)``; ``lift`` and ``tensor``
-    only rearrange steps, and an identity has none.  ``mat`` is the product
-    of the steps, built on first read and kept, and from then on it is the
-    map's one step.  Threads that read it at once may each build it; they
+    diagram order, each acting as ``I_left (x) g (x) I_right``, fixed when
+    the map is made.  A map built from a matrix is the one step
+    ``(mat, 1, 1)``; ``lift`` and ``tensor`` only rearrange steps, and an
+    identity has none.  ``mat`` is the product of the steps, built on first
+    read and kept.  Threads that read it at once may each build it; they
     build equal matrices.
     """
 
@@ -83,14 +83,9 @@ def _chain(dom, cod, steps) -> TensorMap:
 
 
 def _build(f: TensorMap) -> Mat:
-    """Build f's matrix from its steps and keep it, as f's one step too."""
-    steps = f.steps
-    if not steps:
-        mat = Mat.identity(prod(f.dom))
-    else:
-        mat = (exactmat.whisker(*steps[0]) if len(steps) == 1
-               else _product(prod(f.dom), prod(f.cod), [f]))
-        f.__dict__["steps"] = ((mat, 1, 1),)
+    """Build f's matrix from its steps and keep it."""
+    mat = (_product(prod(f.dom), prod(f.cod), f.steps) if f.steps
+           else Mat.identity(prod(f.dom)))
     f.__dict__["mat"] = mat
     return mat
 
@@ -139,59 +134,34 @@ def tensor(*maps: TensorMap) -> TensorMap:
     """Parallel product; factor dimensions concatenate left to right.
 
     f (x) g runs f's steps beside the domain of g and then g's beside the
-    codomain of f, or the other way round when that passes through the
-    smaller middle space.
+    codomain of f.
     """
     if not maps:
         raise ArityMismatch("tensor of no maps")
     out = maps[0]
     for f in maps[1:]:
-        dl, cl, dr, cr = prod(out.dom), prod(out.cod), prod(f.dom), prod(f.cod)
-        if cl * dr <= dl * cr:
-            steps = _pad(out.steps, 1, dr) + _pad(f.steps, cl, 1)
-        else:
-            steps = _pad(f.steps, dl, 1) + _pad(out.steps, 1, cr)
+        steps = (_pad(out.steps, 1, prod(f.dom))
+                 + _pad(f.steps, prod(out.cod), 1))
         out = _chain(out.dom + f.dom, out.cod + f.cod, steps)
     return out
 
 
-def _product(dom_size, cod_size, factors) -> Mat:
-    """The matrix of a chain of maps, their steps applied to one running
-    product.
+def _product(dom_size, cod_size, steps) -> Mat:
+    """The matrix of a chain of steps, applied to one running product.
 
-    The product starts at the smaller end of the chain.  With the smaller
-    or a one-dimensional codomain it runs from the codomain as
-    x * whisker, else from the domain as whisker * x.
-
-    The factor at the starting end, when it is one step, is read through
-    its matrix, built and kept on first use, so chains that start with the
-    same factor build it once.
+    The product starts at the smaller end of the chain, from the whisker of
+    the step there.  With the smaller or a one-dimensional codomain it runs
+    from the codomain as x * whisker, else from the domain as whisker * x.
     """
-    chains = [f.steps for f in factors]
-    steps = [s for fs in chains for s in fs]
     if cod_size < dom_size or cod_size == 1:
-        x = _start(factors[-1], chains[-1], -1)
+        x = exactmat.whisker(*steps[-1])
         for g, left, right in reversed(steps[:-1]):
             x = exactmat.mul_whisker(x, g, left, right)
         return x
-    x = _start(factors[0], chains[0], 0)
+    x = exactmat.whisker(*steps[0])
     for g, left, right in steps[1:]:
         x = exactmat.whisker_mul(g, left, right, x)
     return x
-
-
-def _start(f: TensorMap, steps, end) -> Mat:
-    """The matrix a running product starts from: f's own, built and kept on
-    first use, when f is one step, else the whisker of its step at end.
-
-    steps are f's steps as the caller read them; another thread may since
-    have replaced them by f's built matrix, which must not be taken for
-    their first or last step.
-    """
-    if len(steps) > 1:
-        return exactmat.whisker(*steps[end])
-    mat = f.__dict__.get("mat")
-    return _build(f) if mat is None else mat
 
 
 def compose(chain) -> TensorMap:
@@ -212,7 +182,8 @@ def compose(chain) -> TensorMap:
     if len(factors) <= 1:
         return factors[0] if factors else chain[0]
     dom, cod = chain[0].dom, prev.cod
-    mat = _product(prod(dom), prod(cod), factors)
+    steps = [s for f in factors for s in f.steps]
+    mat = _product(prod(dom), prod(cod), steps)
     out = _chain(dom, cod, ((mat, 1, 1),))
     out.__dict__["mat"] = mat
     return out

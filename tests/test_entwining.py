@@ -35,8 +35,9 @@ def test_g2_kappa_rank(g2):
 
 def test_z2_degenerates_to_ordinary_bialgebra(z2):
     bim, ent = z2.bim, z2.entwining
-    assert ent.xi == bim.conv_unit()
-    assert ent.xibar == bim.conv_unit()
+    unit = compose([bim.eps, bim.e])
+    assert ent.xi == unit
+    assert ent.xibar == unit
     assert ent.kappa == identity_map((2, 2))
     assert ent.kappa_prime == identity_map((2, 2))
 

@@ -175,7 +175,7 @@ def test_cokernel_column():
     m = Mat.from_rows([[1], [1]])
     proj, dim = cokernel_projection(m)
     assert dim == 1
-    assert mul(proj, m).is_zero_mat()
+    assert mul(proj, m) == Mat.zeros(1, 1)
     assert rank(proj) == 1
 
 
@@ -183,7 +183,7 @@ def test_cokernel_column():
 @given(mats(3, 2))
 def test_cokernel_rank_complement(m):
     proj, dim = cokernel_projection(m)
-    assert mul(proj, m).is_zero_mat()
+    assert mul(proj, m) == Mat.zeros(dim, 2)
     assert rank(proj) + rank(m) == 3
     assert dim == proj.rows
 
@@ -207,6 +207,19 @@ def test_invert_nz_galois_matrix_rank_witness():
     with pytest.raises(NotInvertible) as err:
         invert(sigma)
     assert err.value.rank == 3
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[0, 0, 0], [0, 0, 0]], 0),
+    ([[1, 2, 3], [2, 4, 6]], 1),
+    ([[1, 0], [0, 1], [1, 1]], 2),
+])
+def test_invert_non_square_reports_its_rank(rows, want):
+    m = Mat.from_rows(rows)
+    with pytest.raises(NotInvertible) as err:
+        invert(m)
+    assert err.value.rank == want
+    assert err.value.dims == (m.rows, m.cols)
 
 
 @settings(max_examples=20)
@@ -473,7 +486,7 @@ def chains(draw, shape):
             f = plain(a, b)
             want = rows_of(f.mat)
         if draw(st.booleans()):
-            assert rows_of(f.mat) == want  # a built matrix is reused
+            assert rows_of(f.mat) == want
         chain.append(f)
         dense.append(want)
     return chain, dense

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakhopf import instances as inst
-from weakhopf import tensorexpr
 from weakhopf.errors import (ArityMismatch, DimensionMismatch, ExprSyntaxError,
                              FactorizationFailed, NotIdempotent)
 from weakhopf.exactmat import Mat, rank
@@ -97,7 +96,7 @@ def test_lift_respects_composition(g2):
 @given(endo(2))
 def test_convolution_unit_on_ordinary_bialgebra(f):
     bim = inst.z2()
-    unit = bim.conv_unit()
+    unit = compose([bim.eps, bim.e])
     assert bim.convolve(unit, f) == f
     assert bim.convolve(f, unit) == f
 
@@ -336,21 +335,13 @@ def test_threads_reading_one_lazy_matrix_get_equal_results():
     assert got == [want] * 16
 
 
-def test_a_factor_built_while_its_product_runs_is_applied_once(
-        g2, monkeypatch):
-    # the interleaving the thread test above hits at random: another thread
-    # builds a factor's matrix, and so replaces its steps, after compose
-    # has read them
+def test_reading_a_matrix_leaves_the_steps_as_they_were(g2):
+    # a map's steps are fixed when it is made: building its matrix only
+    # keeps the matrix, and a composite through the map does not change
     bim = g2.bim
-    want = compose([tensor(bim.delta, bim.delta), tensor(bim.m, bim.m)]).mat
-    start, built = tensorexpr._start, set()
-
-    def build_first(f, *args):
-        if id(f) not in built:
-            built.add(id(f))
-            f.mat
-        return start(f, *args)
-
-    monkeypatch.setattr(tensorexpr, "_start", build_first)
-    got = compose([tensor(bim.delta, bim.delta), tensor(bim.m, bim.m)])
-    assert built and got.mat == want
+    lifted, both = lift(bim.m, 1, 0), tensor(bim.delta, bim.m)
+    steps = (lifted.steps, both.steps)
+    before = compose([both, lifted]).mat
+    lifted.mat, both.mat  # builds and keeps both matrices
+    assert (lifted.steps, both.steps) == steps
+    assert compose([both, lifted]).mat == before
