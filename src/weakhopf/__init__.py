@@ -25,7 +25,7 @@ from .entwining import (
     check_derived_identities,
     check_weak_entwining,
 )
-from .exactmat import Mat, Splitting
+from .exactmat import Mat
 from .galois import GaloisData, build_galois, check_remark_inverses
 from .hopf import (
     Antipode,
@@ -36,9 +36,6 @@ from .hopf import (
     solve_antipode_linear,
 )
 from .hopfmodules import (
-    BaseModule,
-    HComodule,
-    HModule,
     K_omega,
     MixedBimodule,
     check_mixed_bimodule,

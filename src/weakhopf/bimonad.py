@@ -53,12 +53,6 @@ class AxiomReport:
     def failed_ids(self):
         return [e.axiom_id for e in self.entries if not e.holds and not e.informational]
 
-    def entry(self, axiom_id: str) -> AxiomEntry:
-        for e in self.entries:
-            if e.axiom_id == axiom_id:
-                return e
-        raise KeyError(axiom_id)
-
     def to_jsonable(self):
         return [e.to_jsonable() for e in self.entries]
 
@@ -73,13 +67,13 @@ def compare(axiom_id, lhs, rhs, informational=False) -> AxiomEntry:
     return AxiomEntry(axiom_id, witness is None, witness, informational)
 
 
-def compare_all(axiom_id, pairs, informational=False) -> AxiomEntry:
+def compare_all(axiom_id, pairs) -> AxiomEntry:
     """One entry covering several equalities; witness from the first failure."""
     for lhs, rhs in pairs:
-        entry = compare(axiom_id, lhs, rhs, informational)
+        entry = compare(axiom_id, lhs, rhs)
         if not entry.holds:
             return entry
-    return AxiomEntry(axiom_id, True, None, informational)
+    return AxiomEntry(axiom_id, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +101,7 @@ class WeakBraidedBimonad:
         tau = self.tau
         if self.tau_prime is None:
             nabla = compose([tau, tau])
-            if not tx.maps_equal(nabla, identity_map(tau.dom)):
+            if nabla != identity_map(tau.dom):
                 raise TauPrimeRequired(
                     "tau is not an involution; supply tau_prime explicitly"
                 )

@@ -247,15 +247,13 @@ def cmd_eval(args) -> int:
         "m": bim.m, "e": bim.e, "delta": bim.delta, "eps": bim.eps,
         "tau": bim.tau, "tau_prime": bim.tau_prime, "nabla": bim.nabla,
     }
-    if not pipe.failed_axioms:
-        ent = pipe.entwining
-        env.update({
-            "omega": ent.omega, "omegabar": ent.omegabar,
-            "sigma": ent.sigma, "sigmabar": ent.sigmabar,
-            "xi": ent.xi, "xibar": ent.xibar,
-            "chi": ent.chi, "chibar": ent.chibar,
-            "kappa": ent.kappa, "kappa_prime": ent.kappa_prime,
-        })
+    entwined = ("omega", "omegabar", "sigma", "sigmabar", "xi", "xibar",
+                "chi", "chibar", "kappa", "kappa_prime")
+    if pipe.failed_axioms:
+        env.update(dict.fromkeys(entwined,
+                                 "needs an instance whose axioms pass"))
+    else:
+        env.update({name: getattr(pipe.entwining, name) for name in entwined})
     # the entries of delta (x) delta on the largest carrier --max-dim admits
     result = parse_expr(args.expr, env, base_dim=bim.n,
                         max_entries=args.max_dim ** 6)
@@ -281,10 +279,14 @@ def _int(part, option):
         raise InvalidSpec(f"{option}: {part!r} is not an integer") from None
 
 
+def _positive(value, option):
+    if value <= 0:
+        raise InvalidSpec(f"{option} must be a positive integer, not {value}")
+    return value
+
+
 def _parse_arrows(text):
     arrows = []
-    if not text:
-        return tuple(arrows)
     for part in text.split(","):
         s, _, t = part.partition("-")
         arrows.append((_int(s, "--arrows"), _int(t, "--arrows")))
@@ -301,6 +303,9 @@ def cmd_gen(args) -> int:
     if args.kind == "groupoid":
         if args.objects is None:
             raise InvalidSpec("gen groupoid needs --objects")
+        # k objects carry at least their k identity arrows, so the dim is
+        # at least k: refused before the arrows or components are listed
+        inst.check_max_dim(_positive(args.objects, "--objects"), args.max_dim)
         if args.full:
             spec = inst.full_groupoid(args.objects)
             name = args.name or f"G{args.objects}"
@@ -316,7 +321,7 @@ def cmd_gen(args) -> int:
         if args.cyclic is None and not args.table:
             raise InvalidSpec("gen group needs --cyclic N or --table")
         if args.cyclic is not None:
-            inst.check_max_dim(args.cyclic, args.max_dim)
+            inst.check_max_dim(_positive(args.cyclic, "--cyclic"), args.max_dim)
             table = inst.cyclic_group_table(args.cyclic)
         else:
             table = _parse_table(args.table)
@@ -333,12 +338,10 @@ def cmd_gen(args) -> int:
     elif args.kind == "superline":
         inst.check_max_dim(2, args.max_dim)
         bim = inst.super_line()
-    elif args.kind == "dual":
+    else:  # dual, the last of the choices that argparse admits
         if not args.of:
             raise InvalidSpec("gen dual needs --of INSTANCE")
         bim = inst.dual_instance(inst.load(args.of, max_dim=args.max_dim))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidSpec(f"unknown kind {args.kind}")
 
     pipe = Pipeline(bim)
     expected = None if pipe.failed_axioms else _expected_block(pipe)

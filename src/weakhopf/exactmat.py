@@ -22,9 +22,13 @@ spirit of Bareiss ("Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 1968): a row is combined with the pivot
 row by integer multipliers and divided by its content.  It picks the first
 usable pivot in row/column order, so ranks, kernels, cokernels and
-idempotent splittings are bit-identical across runs and platforms.
+idempotent splittings are bit-identical across runs and platforms.  An
+idempotent e splits as the pair ``(p, i)`` with ``e = i*p``; its rank is
+``p.rows``.
 
-``fractions.Fraction`` appears only at the edges: constructors accept ints
+A matrix is built by ``Mat(rows, cols, dense_rows)``,
+``Mat.from_rowmaps(rows, cols, maps)`` or ``Mat.identity(n)``.
+``fractions.Fraction`` appears only at the edges: the first two accept ints
 and Fractions, and the value views ``data``, ``items()`` and ``m[i, j]`` give
 an int for an integral entry and a reduced Fraction otherwise.
 """
@@ -32,7 +36,6 @@ an int for an integral entry and a reduced Fraction otherwise.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -87,34 +90,14 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     @staticmethod
-    def zeros(rows, cols):
-        return _make(rows, cols, tuple({} for _ in range(rows)))
-
-    @staticmethod
     def identity(n):
         return _make(n, n, tuple({i: 1} for i in range(n)))
-
-    @staticmethod
-    def from_rows(rows):
-        rows = [list(r) for r in rows]
-        return Mat(len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
     def from_rowmaps(rows, cols, maps):
         """Build from one {col: value} map per row, each col in range;
         zero values are dropped.  The maps are taken over, not copied."""
         return _make(rows, cols, *_over_one_den(maps))
-
-    @staticmethod
-    def from_entries(rows, cols, entries):
-        """Build from a {(i, j): value} dict; omitted entries are zero."""
-        maps = [{} for _ in range(rows)]
-        for (i, j), v in entries.items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise DimensionMismatch(
-                    f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            maps[i][j] = v
-        return Mat.from_rowmaps(rows, cols, maps)
 
     @property
     def data(self):
@@ -156,19 +139,6 @@ class Mat:
 
     def __sub__(self, other):
         return _combine(self, other, -1)
-
-    def __neg__(self):
-        return _make(self.rows, self.cols, tuple(
-            {j: -v for j, v in row.items()} for row in self.rowmaps), self.den)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return Mat.zeros(self.rows, self.cols)
-        k = c.numerator
-        return _canon(self.rows, self.cols, tuple(
-            {j: k * v for j, v in row.items()} for row in self.rowmaps),
-            self.den * c.denominator)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -487,17 +457,9 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-@dataclass(frozen=True)
-class Splitting:
-    """Factorization of an idempotent e as i*p with p*i = identity."""
-
-    p: Mat  # r x n
-    i: Mat  # n x r
-    rank: int
-
-
-def split_idempotent(e: Mat) -> Splitting:
-    """Split e = i*p through the rank; pivot columns of e give the basis."""
+def split_idempotent(e: Mat):
+    """(p, i) with e = i*p and p*i the identity of size rank(e) = p.rows;
+    the pivot columns of e give the basis."""
     if e.rows != e.cols:
         raise DimensionMismatch("idempotent must be square")
     if mul(e, e) != e:
@@ -512,7 +474,7 @@ def split_idempotent(e: Mat) -> Splitting:
         raise NotIdempotent("rank factorization did not split")
     if mul(i, p) != e:
         raise NotIdempotent("rank factorization does not recompose e")
-    return Splitting(p=p, i=i, rank=r)
+    return p, i
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -531,15 +493,13 @@ def kernel_basis(m: Mat) -> Mat:
     return _canon(m.cols, len(free), tuple(out), den)
 
 
-def cokernel_projection(m: Mat):
-    """Surjection proj with proj*m = 0 and rank(proj) = rows - rank(m).
+def cokernel_projection(m: Mat) -> Mat:
+    """Surjection proj with proj*m = 0 and proj.rows = m.rows - rank(m).
 
     The rows of proj are the echelon-derived left null space basis, i.e. the
     deterministic complement of the row space through non-pivot rows.
     """
-    basis = kernel_basis(m.transpose())
-    proj = basis.transpose()
-    return proj, proj.rows
+    return kernel_basis(m.transpose()).transpose()
 
 
 def _right_block(red: Mat, rowcount: int, off: int, width: int):

@@ -30,29 +30,11 @@ from .tensorexpr import (TensorMap, coequaliser, compose, equaliser,
 
 
 @dataclass(frozen=True)
-class HModule:
-    dim: int
-    h: TensorMap  # (n, d) -> (d,)
-
-
-@dataclass(frozen=True)
-class HComodule:
-    dim: int
-    theta: TensorMap  # (d,) -> (n, d)
-
-
-@dataclass(frozen=True)
 class MixedBimodule:
     dim: int
     h: TensorMap
     theta: TensorMap
     name: str = ""
-
-
-@dataclass(frozen=True)
-class BaseModule:
-    dim: int
-    g: TensorMap  # (r, d) -> (d,)
 
 
 @dataclass(frozen=True)
@@ -85,26 +67,28 @@ class Coinvariants:
     report: AxiomReport
 
 
-def check_module(bim: WeakBraidedBimonad, mod: HModule) -> AxiomReport:
-    idd = identity_map((mod.dim,))
+def check_module(bim: WeakBraidedBimonad, h: TensorMap) -> AxiomReport:
+    """The module laws of the action h: (n, d) -> (d,)."""
+    idd = identity_map(h.cod)
     one = bim.id1()
     report = AxiomReport()
     report.add(compare("mod.assoc",
-                       compose([tensor(bim.m, idd), mod.h]),
-                       compose([tensor(one, mod.h), mod.h])))
-    report.add(compare("mod.unit", compose([tensor(bim.e, idd), mod.h]), idd))
+                       compose([tensor(bim.m, idd), h]),
+                       compose([tensor(one, h), h])))
+    report.add(compare("mod.unit", compose([tensor(bim.e, idd), h]), idd))
     return report
 
 
-def check_comodule(bim: WeakBraidedBimonad, com: HComodule) -> AxiomReport:
-    idd = identity_map((com.dim,))
+def check_comodule(bim: WeakBraidedBimonad, theta: TensorMap) -> AxiomReport:
+    """The comodule laws of the coaction theta: (d,) -> (n, d)."""
+    idd = identity_map(theta.dom)
     one = bim.id1()
     report = AxiomReport()
     report.add(compare("com.coassoc",
-                       compose([com.theta, tensor(bim.delta, idd)]),
-                       compose([com.theta, tensor(one, com.theta)])))
+                       compose([theta, tensor(bim.delta, idd)]),
+                       compose([theta, tensor(one, theta)])))
     report.add(compare("com.counit",
-                       compose([com.theta, tensor(bim.eps, idd)]), idd))
+                       compose([theta, tensor(bim.eps, idd)]), idd))
     return report
 
 
@@ -115,8 +99,8 @@ def check_mixed_bimodule(bim: WeakBraidedBimonad, ent: EntwiningData,
     idd = identity_map((mod.dim,))
     one = bim.id1()
     report = AxiomReport()
-    report.extend(check_module(bim, HModule(mod.dim, mod.h)))
-    report.extend(check_comodule(bim, HComodule(mod.dim, mod.theta)))
+    report.extend(check_module(bim, mod.h))
+    report.extend(check_comodule(bim, mod.theta))
     report.add(compare("mix.omega-square",
                        compose([mod.h, mod.theta]),
                        compose([tensor(one, mod.theta),
@@ -136,15 +120,15 @@ def K_omega(bim: WeakBraidedBimonad, d: int) -> MixedBimodule:
 
 
 def induced_comonad_on_module(bim: WeakBraidedBimonad, ent: EntwiningData,
-                              mod: HModule) -> InducedComonad:
-    """Split the comonad idempotent Gamma at (a, h) and verify the induced
-    comonad component laws at this object (counit laws and coassociativity,
-    plus module-morphism facts for both components)."""
-    law_report = check_module(bim, mod)
+                              h: TensorMap) -> InducedComonad:
+    """Split the comonad idempotent Gamma at the module (a, h) and verify the
+    induced comonad component laws at this object (counit laws and
+    coassociativity, plus module-morphism facts for both components)."""
+    law_report = check_module(bim, h)
     if not law_report.passed:
         raise PrerequisiteAxiomFailed(law_report.failed_ids())
     gamma, p, i, act, delta0, eps0, laws = _induced_comonad(
-        bim, ent.omega, mod.h, mod.dim)
+        bim, ent.omega, h)
     report = AxiomReport()
     for axiom_id, lhs, rhs in laws:
         report.add(compare(axiom_id, lhs, rhs))
@@ -153,14 +137,14 @@ def induced_comonad_on_module(bim: WeakBraidedBimonad, ent: EntwiningData,
                           report=report)
 
 
-def _induced_comonad(bim, omega, h0, d0):
-    """Gamma at the module (d0, h0) split, the action on the split object,
-    the comonad components and the (id, lhs, rhs) laws at this object."""
+def _induced_comonad(bim, omega, h0):
+    """Gamma at the module h0 split, the action on the split object, the
+    comonad components and the (id, lhs, rhs) laws at this object."""
     one = bim.id1()
 
-    def level(h, d):
+    def level(h):
         # Gamma = (id (x) h) . (omega (x) id) . (e (x) id (x) id) on H(carrier)
-        idd = identity_map((d,))
+        idd = identity_map(h.cod)
         gamma = compose([tensor(bim.e, one, idd), tensor(omega, idd),
                          tensor(one, h)])
         p, i = split(gamma)  # raises NotIdempotent: fatal
@@ -168,12 +152,11 @@ def _induced_comonad(bim, omega, h0, d0):
         act = compose([tensor(one, i), tensor(omega, idd), tensor(one, h), p])
         return gamma, p, i, act
 
-    gamma0, p0, i0, act1 = level(h0, d0)
-    g1 = p0.cod[0]
-    _, p1, i1, act2 = level(act1, g1)
-    _, p2, i2, _ = level(act2, p1.cod[0])
+    gamma0, p0, i0, act1 = level(h0)
+    _, p1, i1, act2 = level(act1)
+    _, p2, i2, _ = level(act2)
 
-    idd0, idg1 = identity_map((d0,)), identity_map((g1,))
+    idd0, idg1 = identity_map(h0.cod), identity_map(act1.cod)
     eps0 = compose([i0, tensor(bim.eps, idd0)])   # G -> carrier
     delta0 = compose([i0, tensor(bim.delta, idd0), tensor(one, p0), p1])
     delta1 = compose([i1, tensor(bim.delta, idg1), tensor(one, p1), p2])
@@ -211,7 +194,7 @@ _MONAD_LAW_IDS = {
 
 
 def induced_monad_on_comodule(bim: WeakBraidedBimonad, ent: EntwiningData,
-                              com: HComodule) -> InducedMonad:
+                              theta: TensorMap) -> InducedMonad:
     """Split the monad idempotent Gamma' at (a, theta) and verify the induced
     monad component laws at this object.
 
@@ -221,12 +204,11 @@ def induced_monad_on_comodule(bim: WeakBraidedBimonad, ent: EntwiningData,
     is the transpose (i^T, p^T) of the one of Gamma, and each law compares
     the transposed-back sides.
     """
-    law_report = check_comodule(bim, com)
+    law_report = check_comodule(bim, theta)
     if not law_report.passed:
         raise PrerequisiteAxiomFailed(law_report.failed_ids())
     gamma, p, i, act, delta0, eps0, laws = _induced_comonad(
-        dual_instance(bim), transpose(ent.omega), transpose(com.theta),
-        com.dim)
+        dual_instance(bim), transpose(ent.omega), transpose(theta))
     report = AxiomReport()
     for axiom_id, lhs, rhs in laws:
         report.add(compare(_MONAD_LAW_IDS[axiom_id], transpose(lhs),
@@ -280,19 +262,20 @@ def coinvariants(bim: WeakBraidedBimonad, ent: EntwiningData,
 
 
 def induce_from_base(bim: WeakBraidedBimonad, base: BaseObject,
-                      nb: BaseModule):
-    """H (x)_{base} N with its induced action and coaction (factor-and-verify)."""
+                     g: TensorMap):
+    """H (x)_{base} N with its induced action and coaction (factor-and-verify),
+    for the base module N with action g: (r, d) -> (d,)."""
     one = bim.id1()
-    idn = identity_map((nb.dim,))
+    idn = identity_map(g.cod)
     rho_r = compose([tensor(one, base.iota), bim.m])
-    l_n = coequaliser(tensor(rho_r, idn), tensor(one, nb.g))
+    l_n = coequaliser(tensor(rho_r, idn), tensor(one, g))
     h_q = factor_through(compose([tensor(bim.m, idn), l_n]), tensor(one, l_n),
                          "induced module action")
     theta_q = factor_through(
         compose([tensor(bim.delta, idn), tensor(one, l_n)]), l_n,
         "induced module coaction")
     induced = MixedBimodule(dim=l_n.cod[0], h=h_q, theta=theta_q,
-                            name=f"induced({nb.dim})")
+                            name=f"induced({g.cod[0]})")
     return induced, l_n
 
 
@@ -328,8 +311,7 @@ def fundamental_roundtrip(bim: WeakBraidedBimonad, ent: EntwiningData,
                        compose([tensor(idr, g), g])))
     report.add(compare("rt.N-unit", compose([tensor(base.e_base, idn), g]), idn))
 
-    nb = BaseModule(dim=coin.dim, g=g)
-    induced, l_n = induce_from_base(bim, base, nb)
+    induced, l_n = induce_from_base(bim, base, g)
     induced_laws = check_mixed_bimodule(bim, ent, induced)
     report.extend(induced_laws)
 

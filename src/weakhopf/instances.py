@@ -37,7 +37,6 @@ from .tensorexpr import (
     from_table,
     graded_flip_map,
     identity_map,
-    maps_equal,
     transpose,
 )
 
@@ -343,7 +342,7 @@ def to_json_text(bim: WeakBraidedBimonad, expected=None) -> str:
     # with tau_prime = tau, nabla is tau . tau: the identity when tau is a
     # graded flip
     if bim.tau_prime != bim.tau or (
-            grading is None and not maps_equal(bim.nabla, identity_map((n, n)))):
+            grading is None and bim.nabla != identity_map((n, n))):
         doc["tau_prime"] = write_map(bim.tau_prime)
     exp = expected if expected is not None else bim.expected
     if exp:

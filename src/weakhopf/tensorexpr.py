@@ -34,7 +34,7 @@ class TensorMap:
     ``(mat, 1, 1)``; ``lift`` and ``tensor`` only rearrange steps, and an
     identity has none.  ``mat`` is the product of the steps, built on first
     read and kept.  Threads that read it at once may each build it; they
-    build equal matrices.
+    build equal matrices.  ``==`` compares ``dom``, ``cod`` and ``mat``.
     """
 
     dom: tuple
@@ -62,14 +62,6 @@ class TensorMap:
         if len(dims) > 1:
             raise ArityMismatch(f"mixed factor dimensions {sorted(dims)}")
         return dims.pop() if dims else None
-
-    @property
-    def in_arity(self):
-        return len(self.dom)
-
-    @property
-    def out_arity(self):
-        return len(self.cod)
 
     def __repr__(self):
         return f"TensorMap({self.dom}->{self.cod})"
@@ -204,9 +196,9 @@ def split(e: TensorMap):
     """The splitting (p, i) of the idempotent e through its image, so that
     compose([p, i]) == e and compose([i, p]) is the identity there; raises
     NotIdempotent when e . e != e."""
-    s = exactmat.split_idempotent(e.mat)
-    image = (s.rank,)
-    return TensorMap(e.dom, image, s.p), TensorMap(image, e.cod, s.i)
+    p, i = exactmat.split_idempotent(e.mat)
+    image = (p.rows,)
+    return TensorMap(e.dom, image, p), TensorMap(image, e.cod, i)
 
 
 def equaliser(f: TensorMap, g: TensorMap) -> TensorMap:
@@ -217,8 +209,8 @@ def equaliser(f: TensorMap, g: TensorMap) -> TensorMap:
 
 def coequaliser(f: TensorMap, g: TensorMap) -> TensorMap:
     """The projection of the common codomain onto the cokernel of f - g."""
-    proj, t = exactmat.cokernel_projection(f.mat - g.mat)
-    return TensorMap(f.cod, (t,), proj)
+    proj = exactmat.cokernel_projection(f.mat - g.mat)
+    return TensorMap(f.cod, (proj.rows,), proj)
 
 
 def factor_through(target: TensorMap, proj: TensorMap, what: str,
@@ -274,12 +266,6 @@ def convolution(f: TensorMap, g: TensorMap, m: TensorMap, delta: TensorMap) -> T
     return compose([delta, tensor(f, g), m])
 
 
-def maps_equal(f: TensorMap, g: TensorMap) -> bool:
-    if f.dom != g.dom or f.cod != g.cod:
-        return False
-    return f.mat == g.mat
-
-
 # ---------------------------------------------------------------------------
 # expression language:  NAME | 'id' '^' INT | e '∘' e | e '⊗' e | '(' e ')'
 # '⊗' binds tighter than '∘'.
@@ -324,6 +310,15 @@ def _tokenize(text):
     return tokens
 
 
+# what take() reads, for the kinds that it does not peek at first
+_EXPECTED = {"rparen": "')'", "caret": "'^'", "int": "an integer",
+             "end": "end of expression"}
+
+
+def _describe(tok):
+    return "end of expression" if tok[0] == "end" else f"token {tok[1]!r}"
+
+
 class _Parser:
     """Evaluates an expression as it reads it: a '∘' chain is one compose
     and a '⊗' chain one tensor, so only parentheses nest."""
@@ -341,7 +336,8 @@ class _Parser:
     def take(self, kind):
         tok = self.tokens[self.k]
         if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
+            raise ExprSyntaxError(
+                f"expected {_EXPECTED[kind]}, found {_describe(tok)}", tok[2])
         self.k += 1
         return tok
 
@@ -402,20 +398,23 @@ class _Parser:
             return identity_map((n,) * arity)
         if kind == "name":
             self.take("name")
-            try:
-                f = self.env[value]
-            except KeyError:
-                raise ExprSyntaxError(f"unknown name {value!r}", pos) from None
+            f = self.env.get(value)
+            if f is None:
+                raise ExprSyntaxError(f"unknown name {value!r}", pos)
+            if isinstance(f, str):
+                raise ExprSyntaxError(f"{value!r} {f}", pos)
             self.bound(prod(f.dom) * prod(f.cod), len(f.dom) + len(f.cod),
                        repr(value), pos)
             return f
-        raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+        raise ExprSyntaxError(f"unexpected {_describe(self.peek())}", pos)
 
 
 def parse_expr(text: str, env, base_dim=None, max_entries=None) -> TensorMap:
     """Parse and evaluate an expression to an arity-checked TensorMap.
 
-    base_dim sizes 'id^k'; by default it is the carrier of the env's maps.
+    env maps a name to its TensorMap, or to a string saying why the name
+    has no map, which is then the error for that name.  base_dim sizes
+    'id^k'; by default it is the carrier of the env's maps.
     With max_entries, a factor or chain of more entries (rows x cols), or
     more tensor factors, is refused with ExprSyntaxError before its matrix
     is built.  Parsing recurses once per level of parentheses; nesting
@@ -423,7 +422,7 @@ def parse_expr(text: str, env, base_dim=None, max_entries=None) -> TensorMap:
     """
     if base_dim is None:
         for f in env.values():
-            base_dim = f.base_dim()
+            base_dim = None if isinstance(f, str) else f.base_dim()
             if base_dim is not None:
                 break
     parser = _Parser(_tokenize(text), env, base_dim, max_entries)

@@ -30,6 +30,11 @@ def _report(criterion, ok=True):
     assert ok
 
 
+def _entry(report, axiom_id):
+    """The entry of report with the given id."""
+    return next(e for e in report.entries if e.axiom_id == axiom_id)
+
+
 def test_criterion_1_axiom_suite():
     for name in INSTANCES:
         bim = inst.BUILTINS[name]()
@@ -72,7 +77,7 @@ def test_criterion_3_base_object():
         for entry_id in ("base.frobenius-left", "base.frobenius-right",
                          "base.separable", "base.upsilon-unit",
                          "base.upsilon-left", "base.upsilon-right"):
-            assert frob.entry(entry_id).holds, (name, entry_id)
+            assert _entry(frob, entry_id).holds, (name, entry_id)
         pi = bo.check_pi_splitting(bim, base, pipe.actions)
         assert pi.passed, (name, pi.failed_ids())
     _report("criterion 3 (base object dims, Frobenius, pi-splitting)")
@@ -87,9 +92,9 @@ def test_criterion_4_galois():
 
     gal = Pipeline(inst.BUILTINS["z2"]()).galois
     table = inst.cyclic_group_table(2)
-    classical = Mat.from_entries(4, 4, {
-        (g * 2 + table[g][h], g * 2 + h): 1 for g in range(2) for h in range(2)
-    })
+    classical = Mat.from_rowmaps(4, 4, [
+        {g * 2 + h: 1 for h in range(2) if table[g][h] == k}
+        for g in range(2) for k in range(2)])
     assert gal.l.mat == Mat.identity(4)
     assert gal.gamma.mat == classical
     assert gal.gamma_invertible
@@ -116,7 +121,7 @@ def test_criterion_5_antipode():
 
     bim, ent, gal = build("sl")
     antipode = hopf.construct_antipode_from_galois(bim, ent, gal)
-    assert antipode.map.mat == Mat.from_rows([[1, 0], [0, -1]])
+    assert antipode.map.mat == Mat(2, 2, [[1, 0], [0, -1]])
     assert hopf.check_antipode(bim, ent, antipode.map).passed
 
     bim, ent, gal = build("nz")
@@ -170,7 +175,7 @@ def test_criterion_7_hopf_module_round_trip():
         assert same_column_span(coin.inclusion.mat, base.iota.mat)
         rt = hm.fundamental_roundtrip(bim, ent, base, antipode, module)
         assert rt.passed, (name, rt.failed_ids())
-        assert rt.entry("rt.comparison-bijective").holds
+        assert _entry(rt, "rt.comparison-bijective").holds
     # beta idempotent and the Prop 7.5 square on every shipped mixed bimodule
     for name in ("g2", "k2", "z2", "sl"):
         pipe = Pipeline(inst.BUILTINS[name]())
@@ -185,8 +190,8 @@ def test_criterion_7_hopf_module_round_trip():
                 modules.append(inst.load_module(path, bim))
         for module in modules:
             coin = hm.coinvariants(bim, ent, antipode, module)
-            assert coin.report.entry("coinv.beta-idem").holds
-            assert coin.report.entry("coinv.prop75-square").holds
+            assert _entry(coin.report, "coinv.beta-idem").holds
+            assert _entry(coin.report, "coinv.prop75-square").holds
     _report("criterion 7 (round trip and coinvariants)")
 
 

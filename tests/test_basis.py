@@ -27,8 +27,8 @@ def random_basis(n, seed):
     """A seeded invertible integer n x n matrix, entries from {0, 0, 1, -1, 2}."""
     rng = random.Random(seed)
     while True:
-        p = Mat.from_rows([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
-                           for _ in range(n)])
+        p = Mat(n, n, [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
+                       for _ in range(n)])
         if rank(p) == n:
             return p
 

@@ -17,6 +17,11 @@ def mutate_map(f, row, col, value):
     return dataclasses.replace(f, mat=Mat(f.mat.rows, f.mat.cols, rows))
 
 
+def _entry(report, axiom_id):
+    """The entry of report with the given id."""
+    return next(e for e in report.entries if e.axiom_id == axiom_id)
+
+
 def test_all_builtin_instances_pass(any_pipeline):
     for report in bm.check_instance(any_pipeline.bim).values():
         assert report.passed, report.failed_ids()
@@ -30,30 +35,29 @@ def test_groupoid_mutated_structure_constant_fails_with_witness():
     failing = [e for e in report.entries if not e.holds]
     assert failing and all(e.witness is not None for e in failing)
     # witness is the lexicographically first disagreeing entry
-    entry = report.entry("alg.unit-left")
+    entry = _entry(report, "alg.unit-left")
     assert not entry.holds and entry.witness == (0, 0)
 
 
 def test_scaled_counit_breaks_wbb6():
     bim = inst.g2()
     broken = dataclasses.replace(
-        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat.scale(2)))
+        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat + bim.eps.mat))
     report = bm.check_weak_braided_bimonad(broken)
-    assert not report.entry("wbb6").holds
+    assert not _entry(report, "wbb6").holds
 
 
 def test_flip_with_identity_partner_fails_regularity(z2):
     one2 = identity_map((2, 2))
     report = bm.check_weak_yb(dataclasses.replace(z2.bim, tau_prime=one2))
-    assert not report.entry("yb.reg-tau-prime").holds
+    assert not _entry(report, "yb.reg-tau-prime").holds
 
 
 def test_tau_prime_defaulting_requires_involution(z2):
     tau = flip_map(2)
     assert dataclasses.replace(z2.bim, tau=tau, tau_prime=None).tau_prime is tau
-    not_involution = hmap(2, 2, 2, Mat.from_entries(4, 4, {(i, i): 2 if i == 0
-                                                           else 1
-                                                           for i in range(4)}))
+    not_involution = hmap(2, 2, 2, Mat.from_rowmaps(
+        4, 4, [{i: 2 if i == 0 else 1} for i in range(4)]))
     with pytest.raises(TauPrimeRequired):
         dataclasses.replace(z2.bim, tau=not_involution, tau_prime=None)
 
@@ -71,7 +75,7 @@ def test_checks_report_instead_of_raising():
 def test_report_determinism(g2):
     bim = inst.g2()
     broken = dataclasses.replace(
-        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat.scale(2)))
+        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat + bim.eps.mat))
     first = bm.check_weak_braided_bimonad(broken)
     second = bm.check_weak_braided_bimonad(broken)
     assert [ (e.axiom_id, e.holds, e.witness) for e in first.entries ] == \
@@ -120,8 +124,7 @@ def _yb_rows(report):
 @pytest.mark.parametrize("tau", [
     flip_map(3),
     # an involution that breaks Yang-Baxter: swap b_0 (x) b_1 and b_1 (x) b_1
-    hmap(2, 2, 2, Mat.from_entries(4, 4, {(0, 0): 1, (3, 1): 1, (1, 3): 1,
-                                          (2, 2): 1})),
+    hmap(2, 2, 2, Mat.from_rowmaps(4, 4, [{0: 1}, {3: 1}, {2: 1}, {1: 1}])),
 ])
 def test_involutive_tau_reuses_its_entries_for_tau_prime(tau):
     bim = inst.group_algebra(inst.cyclic_group_table(tau.dom[0]))
@@ -135,8 +138,7 @@ def test_involutive_tau_reuses_its_entries_for_tau_prime(tau):
 
 
 def test_replace_derives_nabla_from_the_new_pair(z2):
-    t = hmap(2, 2, 2, Mat.from_entries(4, 4, {(0, 0): 1, (2, 1): 1,
-                                              (1, 2): 1, (3, 3): -1}))
+    t = hmap(2, 2, 2, Mat.from_rowmaps(4, 4, [{0: 1}, {2: 1}, {1: 1}, {3: -1}]))
     bim = dataclasses.replace(z2.bim, tau=t, tau_prime=t)
     assert bim.nabla == compose([t, t])
     assert "nabla" not in {f.name for f in dataclasses.fields(bim) if f.init}
@@ -145,8 +147,7 @@ def test_replace_derives_nabla_from_the_new_pair(z2):
 def test_replace_derives_nabla_afresh_after_it_was_read():
     bim = inst.load(resources.files("weakhopf") / "data" / "z2.instance")
     assert bim.nabla == identity_map((2, 2))  # built on this read and kept
-    t = hmap(2, 2, 2, Mat.from_entries(4, 4, {(0, 0): 2, (2, 1): 1,
-                                              (1, 2): 1, (3, 3): 1}))
+    t = hmap(2, 2, 2, Mat.from_rowmaps(4, 4, [{0: 2}, {2: 1}, {1: 1}, {3: 1}]))
     other = dataclasses.replace(bim, tau=t, tau_prime=t)
     assert other.nabla == compose([t, t]) != bim.nabla
     assert dataclasses.replace(other, tau_prime=None, tau=bim.tau).nabla == \

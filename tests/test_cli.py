@@ -115,6 +115,29 @@ def test_eval_errors_are_input_errors(g2_file, capsys):
     assert cli.main(["eval", g2_file, "nosuchname"]) == 2
 
 
+def test_eval_errors_name_the_end_and_the_expected_symbol(g2_file, capsys):
+    for expr, message in [("m ∘", "unexpected end of expression (at "
+                                  "position 3)"),
+                          ("(m", "expected ')', found end of expression"),
+                          ("id", "expected '^', found end of expression")]:
+        assert cli.main(["eval", g2_file, expr]) == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
+
+def test_eval_of_an_entwining_map_needs_passing_axioms(tmp_path, g2_file,
+                                                       capsys):
+    doc = json.loads(Path(g2_file).read_text())
+    doc["eps"] = [[i, "2"] for i in range(4)]
+    del doc["expected"]
+    broken = tmp_path / "broken.instance"
+    broken.write_text(json.dumps(doc))
+    assert cli.main(["eval", str(broken), "m ∘ kappa"]) == 2
+    assert ("input error: 'kappa' needs an instance whose axioms pass "
+            "(at position 4)") in capsys.readouterr().err
+    assert cli.main(["eval", str(broken), "eps ∘ m"]) == 0
+    assert cli.main(["eval", g2_file, "m ∘ kappa"]) == 0
+
+
 def test_gen_reproduces_shipped_instances(tmp_path, capsys):
     cases = [
         (["gen", "groupoid", "--objects", "2", "--full"], "g2.instance"),
@@ -329,3 +352,35 @@ def test_eval_within_the_entry_bound_evaluates(g2_file, capsys):
     code, out = run(["eval", g2_file, "id^5"], capsys)   # 4^10 entries
     assert code == 0
     assert out.startswith("map (4, 4, 4, 4, 4) -> (4, 4, 4, 4, 4)")
+
+
+def test_gen_groupoid_refuses_objects_above_the_guard_before_listing_arrows(
+        tmp_path, monkeypatch, capsys):
+    from weakhopf import instances as inst
+
+    def refuse(*_args):
+        raise AssertionError("built a groupoid above --max-dim")
+
+    monkeypatch.setattr(inst, "full_groupoid", refuse)
+    monkeypatch.setattr(inst.GroupoidSpec, "components", refuse)
+    out_file = tmp_path / "big.instance"
+    for extra in (["--full"], [], ["--arrows", "0-1"]):
+        assert cli.main(["gen", "groupoid", "--objects", "10000000", *extra,
+                         "--out", str(out_file)]) == 2
+        assert "--max-dim 12" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["gen", "groupoid", "--objects", "0"], "--objects"),
+    (["gen", "groupoid", "--objects", "-2", "--full"], "--objects"),
+    (["gen", "group", "--cyclic", "0"], "--cyclic"),
+    (["gen", "group", "--cyclic", "-3"], "--cyclic"),
+])
+def test_gen_refuses_a_count_that_is_not_positive(tmp_path, argv, option,
+                                                  capsys):
+    out_file = tmp_path / "out.instance"
+    assert cli.main(argv + ["--out", str(out_file)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {option} must be a positive integer" in err
+    assert not out_file.exists()

@@ -93,7 +93,7 @@ def test_dual_fails_iff_original_fails():
 
     bim = inst.g2()
     broken = dataclasses.replace(
-        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat.scale(2)))
+        bim, eps=dataclasses.replace(bim.eps, mat=bim.eps.mat + bim.eps.mat))
     assert Pipeline(broken).failed_axioms
     assert Pipeline(inst.dual_instance(broken)).failed_axioms
 
@@ -273,7 +273,7 @@ def _non_commuting_z2():
     """z2 with tau_prime = E_{01,01}, which does not commute with the flip."""
     import dataclasses
 
-    tp = hmap(2, 2, 2, Mat.from_entries(4, 4, {(1, 1): 1}))
+    tp = hmap(2, 2, 2, Mat.from_rowmaps(4, 4, [{}, {1: 1}, {}, {}]))
     return dataclasses.replace(inst.z2(), tau_prime=tp)
 
 

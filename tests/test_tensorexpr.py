@@ -35,7 +35,7 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def endo(n):
     return st.lists(
         st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
-    ).map(lambda rows: hmap(n, 1, 1, Mat.from_rows(rows)))
+    ).map(lambda rows: hmap(n, 1, 1, Mat(n, n, rows)))
 
 
 def test_lift_trivial_paddings():
@@ -141,7 +141,7 @@ def test_split_recomposes_the_idempotent_and_retracts(any_pipeline):
 
 def test_split_refuses_a_map_that_is_not_idempotent(g2):
     with pytest.raises(NotIdempotent):
-        split(hmap(2, 1, 1, Mat.from_rows([[2, 1], [0, 1]])))
+        split(hmap(2, 1, 1, Mat(2, 2, [[2, 1], [0, 1]])))
     with pytest.raises(NotIdempotent):
         split(g2.bim.tau)  # an involution other than the identity
 
@@ -192,8 +192,8 @@ def test_factor_through_finds_the_unique_factor(g2):
 
 
 def test_factor_through_rejects_a_non_surjective_projection():
-    proj = TensorMap((2,), (2,), Mat.from_rows([[1, 0], [0, 0]]))
-    target = TensorMap((2,), (1,), Mat.from_rows([[1, 0]]))
+    proj = TensorMap((2,), (2,), Mat(2, 2, [[1, 0], [0, 0]]))
+    target = TensorMap((2,), (1,), Mat(1, 2, [[1, 0]]))
     with pytest.raises(FactorizationFailed,
                        match="^test: projection is not surjective$"):
         factor_through(target, proj, "test")
@@ -227,9 +227,8 @@ def test_parse_matches_structure_constants(g2):
     got = parse_expr("m ∘ tau ∘ delta", env)
     # by hand: g -> m(tau(g (x) g)) = g*g, nonzero exactly on idempotent arrows
     arrows = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    expect = Mat.from_entries(4, 4, {
-        (k, k): 1 for k, (u, v) in enumerate(arrows) if u == v
-    })
+    expect = Mat.from_rowmaps(4, 4, [
+        {k: 1} if u == v else {} for k, (u, v) in enumerate(arrows)])
     assert got.mat == expect
 
 
@@ -239,6 +238,33 @@ def test_parse_syntax_error_position():
     assert err.value.pos == 5
     with pytest.raises(ExprSyntaxError):
         parse_expr("m $", {"m": flip_map(2)})
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("m ∘", "unexpected end of expression", 3),
+    ("(m", "expected ')', found end of expression", 2),
+    ("id", "expected '^', found end of expression", 2),
+    ("id^", "expected an integer, found end of expression", 3),
+    ("(m m", "expected ')', found token 'm'", 3),
+    ("m )", "expected end of expression, found token ')'", 2),
+    ("m ∘ )", "unexpected token ')'", 4),
+])
+def test_parse_errors_name_the_expected_symbol_and_the_end(text, message,
+                                                           pos):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, {"m": flip_map(2)})
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+def test_parse_refuses_a_name_bound_to_a_reason_with_that_reason():
+    env = {"m": flip_map(2), "kappa": "needs an instance whose axioms pass"}
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("m ∘ kappa", env)
+    assert str(err.value) == ("'kappa' needs an instance whose axioms pass "
+                              "(at position 4)")
+    with pytest.raises(ExprSyntaxError, match="needs an instance"):
+        parse_expr("kappa", env)
 
 
 @pytest.mark.parametrize("text", ["(" * 2000 + "m" + ")" * 2000])
@@ -287,7 +313,7 @@ def test_parse_unknown_name_and_arity_error(g2):
 
 def test_tensor_map_shape_guard():
     with pytest.raises(Exception):
-        TensorMap((2,), (2,), Mat.zeros(3, 2))
+        TensorMap((2,), (2,), Mat(3, 2, [[0, 0]] * 3))
 
 
 @pytest.mark.parametrize("in_arity, out_arity, entries", [
