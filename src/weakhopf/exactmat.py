@@ -12,10 +12,14 @@ Products and identity whiskers cost in proportion to the nonzeros: ``mul``
 is the row-wise sparse product (Gustavson, ACM TOMS 1978), and ``whisker``
 builds ``I (x) g (x) I`` from the nonzeros of g.  ``whisker_mul`` and
 ``mul_whisker`` multiply by such a whisker from the left or the right
-without building it; the tensor layer composes its chains of whiskered maps
-through them, so no Kronecker product is ever materialised.  A product runs
-on the numerators, multiplies the two denominators and reduces once per
-result; with both denominators 1 it does no gcd at all.
+without building it; ``whisker_mul`` copies the rows that a row of g with
+one entry selects instead of multiplying them out.  ``contract`` evaluates
+a network of matrices whose rows and columns run over tensor factors, the
+legs, by joining two sparse tensors at a time over their nonzeros in a
+greedy order.  The tensor layer composes its chains of whiskered maps
+through these, so no Kronecker product is ever materialised.  A product
+runs on the numerators, multiplies the denominators and reduces once per
+result; with all denominators 1 it does no gcd at all.
 
 Elimination is fraction-free on integer rows, in the integer-preserving
 spirit of Bareiss ("Sylvester's identity and multistep integer-preserving
@@ -29,15 +33,17 @@ idempotent e splits as the pair ``(p, i)`` with ``e = i*p``; its rank is
 A matrix is built by ``Mat(rows, cols, dense_rows)``,
 ``Mat.from_rowmaps(rows, cols, maps)`` or ``Mat.identity(n)``.
 ``fractions.Fraction`` appears only at the edges: the first two accept ints
-and Fractions, and the value views ``data``, ``items()`` and ``m[i, j]`` give
-an int for an integral entry and a reduced Fraction otherwise.
+and Fractions, and the value views ``data`` and ``items()`` give an int
+for an integral entry and a reduced Fraction otherwise.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations, product
+from math import gcd, lcm, prod
+from operator import itemgetter
 
 from .errors import DimensionMismatch, NotIdempotent, NotInvertible
 
@@ -112,10 +118,6 @@ class Mat:
             for j in sorted(row):
                 yield i, j, _value(row[j], den)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return _value(self.rowmaps[i].get(j, 0), self.den)
-
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -145,9 +147,6 @@ class Mat:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-
-    def __matmul__(self, other):
-        return mul(self, other)
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
@@ -306,8 +305,10 @@ def whisker_mul(g: Mat, left: int, right: int, x: Mat) -> Mat:
     """The product whisker(g, left, right) * x, without building the whisker.
 
     For each (a, b) the rows (a, k, b) of x form a block, and row (a, i, b)
-    of the result is row i of g times that block, as in :func:`mul`: a row
-    of g holding one unit entry shares the block's row.
+    of the result is row i of g times that block, as in :func:`mul`.  A row
+    i of g that holds one entry v at k gives the rows (a, i, b) for every b
+    at once: they are the rows (a, k, b) of x, shared when v is 1 and scaled
+    by v otherwise.
     """
     gcols = g.cols
     span = gcols * right
@@ -317,13 +318,24 @@ def whisker_mul(g: Mat, left: int, right: int, x: Mat) -> Mat:
     if left == right == 1:
         return mul(g, x)
     xrows, grows = x.rowmaps, g.rowmaps
-    empty = {}  # row maps are never mutated, so one can be shared
+    empty = [{}] * right  # row maps are never mutated, so they can be shared
     out = []
     for a in range(left):
         start = a * span
-        blocks = [xrows[start + b:start + span:right] for b in range(right)]
-        out += [_row_times(grow, block) if grow else empty
-                for grow in grows for block in blocks]
+        blocks = None
+        for grow in grows:
+            if len(grow) == 1:
+                (k, v), = grow.items()
+                rows = xrows[start + k * right:start + (k + 1) * right]
+                out += rows if v == 1 else [{j: v * w for j, w in row.items()}
+                                            for row in rows]
+            elif grow:
+                if blocks is None:
+                    blocks = [xrows[start + b:start + span:right]
+                              for b in range(right)]
+                out += [_row_times(grow, block) for block in blocks]
+            else:
+                out += empty
     return _canon(left * g.rows * right, x.cols, tuple(out), g.den * x.den)
 
 
@@ -331,9 +343,7 @@ def mul_whisker(x: Mat, g: Mat, left: int, right: int) -> Mat:
     """The product x * whisker(g, left, right), without building the whisker.
 
     Column (a, i, b) of x meets row i of g: its entry w adds w * g[i, k] at
-    column (a, k, b) of the result.  A row of x holding at least half its
-    columns is read by walking (a, i, b) in index order; a sparser one splits
-    the index of each of its entries instead.
+    column (a, k, b) of the result.
     """
     grows, growcount, gcols = g.rowmaps, g.rows, g.cols
     ncols = x.cols
@@ -345,39 +355,103 @@ def mul_whisker(x: Mat, g: Mat, left: int, right: int) -> Mat:
     out = []
     for xrow in x.rowmaps:
         acc = {}
-        if 2 * len(xrow) < ncols:
-            for j, w in xrow.items():
-                ai, b = divmod(j, right)
-                a, i = divmod(ai, growcount)
-                off = a * gcols * right + b
-                for k, v in grows[i].items():
-                    c = off + k * right
-                    if c in acc:
-                        acc[c] += w * v
-                    else:
-                        acc[c] = w * v
-        else:
-            get = xrow.get
-            j = 0
-            for a in range(left):
-                base = a * gcols
-                for grow in grows:
-                    if not grow:
-                        j += right
-                        continue
-                    for b in range(right):
-                        w = get(j)
-                        j += 1
-                        if w is None:
-                            continue
-                        for k, v in grow.items():
-                            c = (base + k) * right + b
-                            if c in acc:
-                                acc[c] += w * v
-                            else:
-                                acc[c] = w * v
+        for j, w in xrow.items():
+            ai, b = divmod(j, right)
+            a, i = divmod(ai, growcount)
+            off = a * gcols * right + b
+            for k, v in grows[i].items():
+                c = off + k * right
+                if c in acc:
+                    acc[c] += w * v
+                else:
+                    acc[c] = w * v
         out.append({c: v for c, v in acc.items() if v})
     return _canon(x.rows, left * gcols * right, tuple(out), x.den * g.den)
+
+
+def contract(factors, ins, outs, dims) -> Mat:
+    """The matrix from the legs ins to the legs outs of a tensor network.
+
+    Each factor ``(g, gin, gout)`` is the matrix g read as a sparse tensor
+    whose column runs over the legs gin and whose row over the legs gout,
+    leftmost leg most significant; ``dims[leg]`` is a leg's dimension.  A
+    leg that two tensors hold is summed over, and a leg of both ins and outs
+    that no factor holds is an identity wire.  Two tensors at a time are
+    joined over their nonzeros, each time the pair whose result is expected
+    to hold the fewest entries, as in the greedy path of opt_einsum (Smith
+    and Gray, JOSS 2018).
+    """
+    dims, outs, factors = list(dims), list(outs), list(factors)
+    for t, leg in enumerate(outs):
+        if leg in ins:
+            outs[t] = len(dims)
+            dims.append(dims[leg])
+            factors.append((Mat.identity(dims[leg]), [leg], [outs[t]]))
+    tensors = []
+    for g, gin, gout in factors:
+        cidx, ridx = _indices(gin, dims), _indices(gout, dims)
+        tensors.append((tuple(gin + gout), {
+            cidx[j] + ridx[i]: v
+            for i, row in enumerate(g.rowmaps) for j, v in row.items()}))
+    while len(tensors) > 1:
+        # a pair sharing legs of total size s meets on about one in s pairs
+        _, i, j = min((len(a[1]) * len(b[1]) // (prod([
+            dims[leg] for leg in set(a[0]) & set(b[0])]) or 1), i, j)
+            for (i, a), (j, b) in combinations(enumerate(tensors), 2))
+        tensors[i] = _join(tensors[i], tensors.pop(j))
+    order, entries = tensors[0]
+    rpos = [(order.index(leg), dims[leg]) for leg in outs]
+    cpos = [(order.index(leg), dims[leg]) for leg in ins]
+    rows = [{} for _ in range(prod([d for _, d in rpos]))]
+    for key, v in entries.items():
+        if v:
+            r = c = 0
+            for p, d in rpos:
+                r = r * d + key[p]
+            for p, d in cpos:
+                c = c * d + key[p]
+            rows[r][c] = v
+    return _canon(len(rows), prod([d for _, d in cpos]), tuple(rows),
+                  prod([g.den for g, _, _ in factors]))
+
+
+def _indices(legs, dims):
+    """The index tuples over legs, in the order of their flat index."""
+    return list(product(*[range(dims[leg]) for leg in legs]))
+
+
+def _join(a, b):
+    """The contraction of two sparse tensors ``(order, {index: value})``
+    over the legs they share: b is indexed by those legs, and each entry of
+    a reads the entries of b that it meets."""
+    (oa, ea), (ob, eb) = a, b
+    meet_b = [p for p, leg in enumerate(ob) if leg in oa]
+    meet_a = [oa.index(ob[p]) for p in meet_b]
+    rest_a = [p for p, leg in enumerate(oa) if leg not in ob]
+    rest_b = [p for p, leg in enumerate(ob) if leg not in oa]
+    get_b, give_b = _picker(meet_b), _picker(rest_b)
+    index = {}
+    for key, v in eb.items():
+        index.setdefault(get_b(key), []).append((give_b(key), v))
+    get_a, pick_a = _picker(meet_a), _picker(rest_a)
+    acc = {}
+    for key, v in ea.items():
+        hits = index.get(get_a(key))
+        if hits:
+            head = pick_a(key)
+            for tail, w in hits:
+                k = head + tail
+                acc[k] = acc.get(k, 0) + v * w
+    return pick_a(oa) + give_b(ob), acc
+
+
+def _picker(positions):
+    """The function that takes the tuple of the given positions of a key;
+    a run of consecutive positions, none or one included, is one slice."""
+    first = positions[0] if positions else 0
+    if positions == list(range(first, first + len(positions))):
+        return itemgetter(slice(first, first + len(positions)))
+    return itemgetter(*positions)
 
 
 def _hstack(a: Mat, b: Mat) -> Mat:

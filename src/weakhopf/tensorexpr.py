@@ -7,7 +7,14 @@ lexicographically with the leftmost factor most significant; every module in
 the library inherits this convention.
 
 ``compose`` takes maps in diagram order: the first list element is applied
-first.  The expression grammar's ``∘`` is mathematical composition (rightmost
+first.  It multiplies a chain of whiskered steps out as one running product
+from the smaller end.  A chain of more than two steps whose widest middle
+space is larger than both ends, and than len(steps) - 1 times the rows and
+columns of its factors, is instead a tensor network whose legs are tensor
+factors: ``exactmat.contract`` joins the factors pairwise over their
+nonzeros in a greedy order, so that middle space is never materialised.
+
+The expression grammar's ``∘`` is mathematical composition (rightmost
 factor applied first); ``⊗`` is the parallel product.  ASCII aliases ``o`` and
 ``x`` are accepted, which reserves those two single-letter names.
 """
@@ -28,13 +35,17 @@ from .exactmat import Mat
 class TensorMap:
     """Linear map prod(dom) -> prod(cod) tagged with its tensor factorization.
 
-    The map is held as ``steps``: whiskered factors ``(g, left, right)`` in
-    diagram order, each acting as ``I_left (x) g (x) I_right``, fixed when
+    The map is held as ``steps``: whiskered factors
+    ``(g, left, right, at, gdom, gcod)`` in diagram order.  Each acts as
+    ``I_left (x) g (x) I_right``: g takes the tensor factors ``at`` to
+    ``at + len(gdom)`` of the space it meets, whose dims are ``gdom``, and
+    puts factors of dims ``gcod`` in their place.  The steps are fixed when
     the map is made.  A map built from a matrix is the one step
-    ``(mat, 1, 1)``; ``lift`` and ``tensor`` only rearrange steps, and an
-    identity has none.  ``mat`` is the product of the steps, built on first
-    read and kept.  Threads that read it at once may each build it; they
-    build equal matrices.  ``==`` compares ``dom``, ``cod`` and ``mat``.
+    ``(mat, 1, 1, 0, dom, cod)``; ``lift`` and ``tensor`` only rearrange
+    steps, and an identity has none.  ``mat`` is the product of the steps,
+    built on first read and kept.  Threads that read it at once may each
+    build it; they build equal matrices.  ``==`` compares ``dom``, ``cod``
+    and ``mat``.
     """
 
     dom: tuple
@@ -48,7 +59,7 @@ class TensorMap:
                 f"matrix {self.mat.rows}x{self.mat.cols} does not match "
                 f"dom {self.dom} cod {self.cod}"
             )
-        self.__dict__["steps"] = ((self.mat, 1, 1),)
+        self.__dict__["steps"] = ((self.mat, 1, 1, 0, self.dom, self.cod),)
 
     def __getattr__(self, name):
         # reached only while ``mat`` is not built: maps made by _chain
@@ -76,7 +87,7 @@ def _chain(dom, cod, steps) -> TensorMap:
 
 def _build(f: TensorMap) -> Mat:
     """Build f's matrix from its steps and keep it."""
-    mat = (_product(prod(f.dom), prod(f.cod), f.steps) if f.steps
+    mat = (_product(f.dom, f.cod, f.steps) if f.steps
            else Mat.identity(prod(f.dom)))
     f.__dict__["mat"] = mat
     return mat
@@ -115,11 +126,14 @@ def from_table(n, in_arity, out_arity, entries) -> TensorMap:
                 Mat.from_rowmaps(rows, n ** in_arity, maps))
 
 
-def _pad(steps, left, right):
-    """The steps run beside identities of sizes left and right."""
-    if left == right == 1:
+def _pad(steps, ldims, rdims):
+    """The steps run beside identities on factors of dims ldims to their
+    left and rdims to their right."""
+    if not ldims and not rdims:
         return steps
-    return tuple([(g, a * left, b * right) for g, a, b in steps])
+    left, right, at = prod(ldims), prod(rdims), len(ldims)
+    return tuple([(g, a * left, b * right, k + at, gdom, gcod)
+                  for g, a, b, k, gdom, gcod in steps])
 
 
 def tensor(*maps: TensorMap) -> TensorMap:
@@ -132,28 +146,70 @@ def tensor(*maps: TensorMap) -> TensorMap:
         raise ArityMismatch("tensor of no maps")
     out = maps[0]
     for f in maps[1:]:
-        steps = (_pad(out.steps, 1, prod(f.dom))
-                 + _pad(f.steps, prod(out.cod), 1))
+        steps = _pad(out.steps, (), f.dom) + _pad(f.steps, out.cod, ())
         out = _chain(out.dom + f.dom, out.cod + f.cod, steps)
     return out
 
 
-def _product(dom_size, cod_size, steps) -> Mat:
-    """The matrix of a chain of steps, applied to one running product.
+def _product(dom, cod, steps) -> Mat:
+    """The matrix dom -> cod of a chain of steps.
 
-    The product starts at the smaller end of the chain, from the whisker of
-    the step there.  With the smaller or a one-dimensional codomain it runs
-    from the codomain as x * whisker, else from the domain as whisker * x.
+    The chain is contracted as a network (:func:`_network`) when it has more
+    than two steps and its widest intermediate space is larger than both of
+    its ends and than len(steps) - 1 times the rows and columns of all its
+    factors: a running product walks every basis vector of that space at
+    least once, while each of the len(steps) - 1 joins of the network meets
+    at most the factors' indices.  Any other chain is one running product
+    (:func:`_running`).
     """
+    dom_size, cod_size = prod(dom), prod(cod)
+    if len(steps) > 2:
+        widest = max([s[1] * s[0].rows * s[2] for s in steps[:-1]])
+        joins = len(steps) - 1
+        if widest > max(dom_size, cod_size) and widest > joins * sum(
+                [s[0].rows + s[0].cols for s in steps]):
+            return _network(dom, steps)
+    return _running(dom_size, cod_size, steps)
+
+
+def _running(dom_size, cod_size, steps) -> Mat:
+    """The chain applied to one running product that starts at the smaller
+    end of the chain, from the whisker of the step there.  With the smaller
+    or a one-dimensional codomain it runs from the codomain as
+    x * whisker, else from the domain as whisker * x."""
     if cod_size < dom_size or cod_size == 1:
-        x = exactmat.whisker(*steps[-1])
-        for g, left, right in reversed(steps[:-1]):
+        x = exactmat.whisker(*steps[-1][:3])
+        for g, left, right, _, _, _ in reversed(steps[:-1]):
             x = exactmat.mul_whisker(x, g, left, right)
         return x
-    x = exactmat.whisker(*steps[0])
-    for g, left, right in steps[1:]:
+    x = exactmat.whisker(*steps[0][:3])
+    for g, left, right, _, _, _ in steps[1:]:
         x = exactmat.whisker_mul(g, left, right, x)
     return x
+
+
+def _network(dom, steps) -> Mat:
+    """The chain contracted as a tensor network whose legs are tensor
+    factors.  The domain's factors are legs 0 to len(dom) - 1, and each step
+    takes the legs of its window and gives new ones in their place.  A step
+    whose window is exactly the legs that one earlier factor gave is
+    multiplied into that factor."""
+    dims, legs = list(dom), list(range(len(dom)))
+    factors, made = [], {}
+    for g, _, _, at, gdom, gcod in steps:
+        window = tuple(legs[at:at + len(gdom)])
+        new = list(range(len(dims), len(dims) + len(gcod)))
+        dims += gcod
+        k = made.get(window) if window else None
+        if k is None:
+            factors.append((g, list(window), new))
+            k = len(factors) - 1
+        else:
+            h, hin, _ = factors[k]
+            factors[k] = (exactmat.mul(g, h), hin, new)
+        made[tuple(new)] = k
+        legs[at:at + len(gdom)] = new
+    return exactmat.contract(factors, range(len(dom)), legs, dims)
 
 
 def compose(chain) -> TensorMap:
@@ -175,8 +231,8 @@ def compose(chain) -> TensorMap:
         return factors[0] if factors else chain[0]
     dom, cod = chain[0].dom, prev.cod
     steps = [s for f in factors for s in f.steps]
-    mat = _product(prod(dom), prod(cod), steps)
-    out = _chain(dom, cod, ((mat, 1, 1),))
+    mat = _product(dom, cod, steps)
+    out = _chain(dom, cod, ((mat, 1, 1, 0, dom, cod),))
     out.__dict__["mat"] = mat
     return out
 
@@ -242,7 +298,7 @@ def lift(f: TensorMap, left: int, right: int) -> TensorMap:
         raise ArityMismatch("cannot infer carrier dimension for a scalar map")
     ids_l, ids_r = (n,) * left, (n,) * right
     return _chain(ids_l + f.dom + ids_r, ids_l + f.cod + ids_r,
-                  _pad(f.steps, n ** left, n ** right))
+                  _pad(f.steps, ids_l, ids_r))
 
 
 def flip_map(n) -> TensorMap:

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from weakhopf import baseobject as bo
-from weakhopf.exactmat import Mat, same_column_span
+from weakhopf.exactmat import Mat, mul, same_column_span
 from weakhopf.tensorexpr import compose, from_table, tensor
 
 
@@ -67,8 +67,8 @@ def test_coequaliser_factors_through_q(any_pipeline):
     from weakhopf.exactmat import rank
     one = bim.id1()
     diff = compose([tensor(ent.chibar, one), bim.m]).mat - bim.m.mat
-    assert base.q.mat @ diff == Mat(base.r, bim.n ** 2,
-                                    [[0] * bim.n ** 2] * base.r)
+    assert mul(base.q.mat, diff) == Mat(base.r, bim.n ** 2,
+                                        [[0] * bim.n ** 2] * base.r)
     assert rank(diff) == bim.n - base.r
 
 

@@ -7,6 +7,7 @@ exact arithmetic costs most.
 """
 
 import json
+import math
 import random
 import time
 
@@ -16,11 +17,12 @@ from hypothesis import strategies as st
 from test_hopf import composed_conv_operator
 
 from weakhopf import cli, hopf
+from weakhopf import tensorexpr as tx
 from weakhopf import instances as inst
 from weakhopf.bimonad import WeakBraidedBimonad
 from weakhopf.exactmat import Mat, invert, rank
 from weakhopf.pipeline import Pipeline
-from weakhopf.tensorexpr import compose, hmap, tensor
+from weakhopf.tensorexpr import compose, hmap, lift, tensor, transpose
 
 
 def random_basis(n, seed):
@@ -113,3 +115,33 @@ def test_linear_antipode_in_any_basis(name, seed):
     assert (verdict.linear_status == "found") == verdict.hopf
     if verdict.hopf:
         assert pipe.linear.map == verdict.antipode.map
+
+
+def wide_chains(bim):
+    """The wbb5, wbb6 and wbb7 chains that pass through H^4, uncomposed:
+    wbb7's are wbb6's on the transposed structure maps."""
+    def counit_chains(m, delta, eps, tp):
+        return [[lift(delta, 1, 1), tensor(m, m), tensor(eps, eps)],
+                [lift(delta, 1, 1), lift(tp, 1, 1), tensor(m, m),
+                 tensor(eps, eps)]]
+
+    t = transpose
+    return ([[tensor(bim.delta, bim.delta), lift(bim.tau, 1, 1),
+              tensor(bim.m, bim.m)]]
+            + counit_chains(bim.m, bim.delta, bim.eps, bim.tau_prime)
+            + counit_chains(t(bim.delta), t(bim.m), t(bim.e),
+                            t(bim.tau_prime)))
+
+
+@pytest.mark.parametrize("name", sorted(inst.BUILTINS))
+@pytest.mark.parametrize("seed", [None, 1])
+def test_network_and_running_product_agree_on_the_wide_axioms(name, seed):
+    bim = inst.BUILTINS[name]()
+    if seed is not None:
+        bim = change_basis(bim, random_basis(bim.n, seed))
+    for chain in wide_chains(bim):
+        steps = [s for f in chain for s in f.steps]
+        dom, cod = chain[0].dom, chain[-1].cod
+        network = tx._network(dom, steps)
+        assert network == tx._running(math.prod(dom), math.prod(cod), steps)
+        assert network == compose(chain).mat

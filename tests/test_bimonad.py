@@ -8,7 +8,8 @@ from weakhopf import exactmat
 from weakhopf import instances as inst
 from weakhopf.errors import PrerequisiteAxiomFailed, TauPrimeRequired
 from weakhopf.exactmat import Mat
-from weakhopf.tensorexpr import TensorMap, compose, flip_map, hmap, identity_map
+from weakhopf.tensorexpr import (TensorMap, compose, flip_map, hmap,
+                                 identity_map, lift)
 
 
 def mutate_map(f, row, col, value):
@@ -90,6 +91,24 @@ def test_seven_wbb_entry_ids(g2):
 
 def test_z2_has_trivial_nabla(z2):
     assert z2.bim.nabla == identity_map((2, 2))
+
+
+def test_a_map_compared_with_itself_builds_no_matrix():
+    lifted = lift(inst.g2().tau, 1, 0)
+    entry = bm.compare("self", lifted, lifted)
+    assert entry.holds and entry.witness is None
+    assert "mat" not in lifted.__dict__
+
+
+@pytest.mark.parametrize("name", sorted(inst.BUILTINS))
+def test_an_identity_nabla_is_held_without_steps(name):
+    # so wbb1, wbb2, yb.reg-commute and the interchange laws multiply nothing
+    # for it, whether nabla was checked on construction or read later
+    bim = inst.BUILTINS[name]()
+    assert bim.nabla.steps == ()
+    read = dataclasses.replace(bim, tau_prime=bim.tau)
+    assert "nabla" not in read.__dict__
+    assert read.nabla.steps == ()
 
 
 def test_wbb6_and_wbb7_build_no_matrix_above_n_cubed_rows(monkeypatch):

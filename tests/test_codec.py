@@ -76,9 +76,9 @@ def test_theta_rows_list_the_codomain_first(g2):
     # h row [i, j, k, c]: c_k in h(b_i (x) c_j); theta row [i, j, k, c]:
     # b_i (x) c_j in theta(c_k)
     for i, j, k, c in doc["h"]:
-        assert module.h.mat[k, i * d + j] == Fraction(c)
+        assert module.h.mat.data[k][i * d + j] == Fraction(c)
     for i, j, k, c in doc["theta"]:
-        assert module.theta.mat[i * d + j, k] == Fraction(c)
+        assert module.theta.mat.data[i * d + j][k] == Fraction(c)
     assert len(list(module.h.mat.items())) == len(doc["h"])
     assert len(list(module.theta.mat.items())) == len(doc["theta"])
 
@@ -117,9 +117,9 @@ def test_tabled_tau_with_its_own_tau_prime_round_trips_byte_for_byte(tmp_path):
     path.write_text(text)
     bim = inst.load(path)
     # row [i, j, k, l, c]: b_k (x) b_l in tau(b_i (x) b_j)
-    assert bim.tau.mat[2, 1] == Fraction(-1, 2)
-    assert bim.tau.mat[1, 1] == Fraction(1, 3)
-    assert bim.tau_prime.mat[1, 2] == Fraction(1, 3)
+    assert bim.tau.mat.data[2][1] == Fraction(-1, 2)
+    assert bim.tau.mat.data[1][1] == Fraction(1, 3)
+    assert bim.tau_prime.mat.data[1][2] == Fraction(1, 3)
     assert bim.tau_prime != bim.tau
     assert inst.to_json_text(bim) == text
 

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakhopf import instances as inst
+from weakhopf import tensorexpr as tx
 from weakhopf.errors import (ArityMismatch, DimensionMismatch, ExprSyntaxError,
                              FactorizationFailed, NotIdempotent)
 from weakhopf.exactmat import Mat, rank
@@ -371,3 +373,103 @@ def test_reading_a_matrix_leaves_the_steps_as_they_were(g2):
     lifted.mat, both.mat  # builds and keeps both matrices
     assert (lifted.steps, both.steps) == steps
     assert compose([both, lifted]).mat == before
+
+
+# ---------------------------------------------------------------------------
+# compose against a dense Fraction product, on chains with wide middles
+# ---------------------------------------------------------------------------
+
+def dense(m):
+    return [[F(v) for v in row] for row in m.data]
+
+
+def dense_product(a, b):
+    """The dense matrix product a * b."""
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), F(0))
+             for j in range(len(b[0]))] for row in a]
+
+
+def dense_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def dense_eye(size):
+    return [[F(int(i == j)) for j in range(size)] for i in range(size)]
+
+
+def assert_canonical(m):
+    """Int numerators, no stored zero, a positive denominator in lowest
+    terms with them."""
+    assert m.den.__class__ is int and m.den > 0
+    values = [v for row in m.rowmaps for v in row.values()]
+    assert all(v.__class__ is int and v != 0 for v in values)
+    assert math.gcd(m.den, *values) == 1
+
+
+@st.composite
+def sparse_rows(draw, rows, cols):
+    """A rows x cols matrix whose rows are empty, hold one entry 1 or -1,
+    hold one entry that is not a unit, or are drawn at random in full."""
+    maps = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["empty", "unit", "fraction", "full"]))
+        j = draw(st.integers(0, cols - 1))
+        if kind == "empty":
+            maps.append({})
+        elif kind == "unit":
+            maps.append({j: draw(st.sampled_from([1, -1]))})
+        elif kind == "fraction":
+            maps.append({j: draw(st.sampled_from([F(1, 2), F(-2, 3), 2]))})
+        else:
+            maps.append({k: draw(rationals) for k in range(cols)})
+    return Mat.from_rowmaps(rows, cols, maps)
+
+
+@st.composite
+def wide_chains(draw):
+    """A compose chain over a carrier of dimension n whose arity rises from
+    its domain to a middle above both ends and falls again, made of lifts
+    and tensor products of small matrices, with the dense matrix of each
+    map."""
+    n = draw(st.integers(2, 3))
+    top = 4 if n == 2 else 3
+    first, last = draw(st.integers(0, top - 2)), draw(st.integers(0, top - 2))
+    middle = draw(st.integers(max(first, last) + 1, top))
+    arities = ([first] + list(range(first + 1, middle + 1))
+               + list(range(middle - 1, last - 1, -1)))
+    chain, want = [], []
+    for a, b in zip(arities, arities[1:]):
+        # a window of up to two factors that gains or loses one factor,
+        # beside identities
+        p = draw(st.integers(0, min(a, 1)) if a < b
+                 else st.integers(1, min(a, 2)))
+        q = p + b - a
+        left = draw(st.integers(0, a - p))
+        right = a - p - left
+        g = TensorMap((n,) * p, (n,) * q, draw(sparse_rows(n ** q, n ** p)))
+        chain.append(lift(g, left, right) if draw(st.booleans()) else
+                     tensor(identity_map((n,) * left), g,
+                            identity_map((n,) * right)))
+        want.append(dense_kron(dense_kron(dense_eye(n ** left), dense(g.mat)),
+                               dense_eye(n ** right)))
+    return chain, want
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_chains())
+def test_compose_of_a_wide_chain_is_the_dense_product(chain_and_dense):
+    chain, want = chain_and_dense
+    product = want[0]
+    for step in want[1:]:
+        product = dense_product(step, product)
+    got = compose(chain)
+    assert dense(got.mat) == product
+    assert_canonical(got.mat)
+    # the network and the running product agree, whichever compose chose
+    steps = [s for f in chain for s in f.steps]
+    dom, cod = chain[0].dom, chain[-1].cod
+    if len(steps) > 1:
+        for mat in (tx._network(dom, steps),
+                    tx._running(math.prod(dom), math.prod(cod), steps)):
+            assert mat == got.mat
+            assert_canonical(mat)
