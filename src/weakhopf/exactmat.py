@@ -5,8 +5,9 @@ denominator ``den`` shared by every entry, the representation of FLINT's
 ``fmpq_mat`` (https://flintlib.org/doc/fmpq_mat.html).  Numerators are ints
 and no zero is ever stored.  The form is canonical: ``den`` and the
 numerators have no common factor, and the zero matrix has ``den == 1``, so
-equal matrices have equal rows and denominators, and ``==``, ``hash`` and
-:func:`first_difference` read the numerators directly.
+equal matrices have equal rows and denominators: ``==`` and ``hash`` read
+the numerators directly, and :func:`first_difference` answers equal
+matrices by one comparison of ``den`` and ``rowmaps``.
 
 Products and identity whiskers cost in proportion to the nonzeros: ``mul``
 is the row-wise sparse product (Gustavson, ACM TOMS 1978), and ``whisker``
@@ -31,7 +32,8 @@ idempotent e splits as the pair ``(p, i)`` with ``e = i*p``; its rank is
 ``p.rows``.
 
 A matrix is built by ``Mat(rows, cols, dense_rows)``,
-``Mat.from_rowmaps(rows, cols, maps)`` or ``Mat.identity(n)``.
+``Mat.from_rowmaps(rows, cols, maps)`` or ``Mat.identity(n)``; every route
+ends in ``_make``, which sets the four slots through their own setters.
 ``fractions.Fraction`` appears only at the edges: the first two accept ints
 and Fractions, and the value views ``data`` and ``items()`` give an int
 for an integral entry and a reduced Fraction otherwise.
@@ -85,11 +87,11 @@ class Mat:
 
     __slots__ = ("rows", "cols", "rowmaps", "den")
 
-    def __init__(self, rows, cols, data):
+    def __new__(cls, rows, cols, data):
         data = [tuple(row) for row in data]
         if len(data) != rows or any(len(row) != cols for row in data):
             raise DimensionMismatch(f"bad shape for {rows}x{cols} matrix")
-        _init(self, rows, cols, *_over_one_den(
+        return _make(rows, cols, *_over_one_den(
             [{j: v for j, v in enumerate(row) if v} for row in data]))
 
     def __setattr__(self, *_args):
@@ -173,18 +175,18 @@ class Mat:
             for row in self.rowmaps), self.den)
 
 
-def _init(mat, rows, cols, rowmaps, den):
-    object.__setattr__(mat, "rows", rows)
-    object.__setattr__(mat, "cols", cols)
-    object.__setattr__(mat, "rowmaps", rowmaps)
-    object.__setattr__(mat, "den", den)
+_set_rows, _set_cols = Mat.rows.__set__, Mat.cols.__set__
+_set_rowmaps, _set_den = Mat.rowmaps.__set__, Mat.den.__set__
 
 
 def _make(rows, cols, rowmaps, den=1):
     """Mat from a tuple of int row maps that hold no zero and a den that is
     canonical with them, without copying or checks."""
     mat = object.__new__(Mat)
-    _init(mat, rows, cols, rowmaps, den)
+    _set_rows(mat, rows)
+    _set_cols(mat, cols)
+    _set_rowmaps(mat, rowmaps)
+    _set_den(mat, den)
     return mat
 
 
@@ -243,6 +245,8 @@ def _merge(ra, rb):
 def first_difference(a: Mat, b: Mat):
     """First (row, col) where the matrices differ, or None."""
     da, db = a.den, b.den
+    if da == db and a.rowmaps == b.rowmaps:
+        return None
     for i, (ra, rb) in enumerate(zip(a.rowmaps, b.rowmaps)):
         if da == db and ra == rb:
             continue
@@ -268,7 +272,7 @@ def _row_times(arow, brows):
                 acc[j] += aik * v
             else:
                 acc[j] = aik * v
-    return {j: v for j, v in acc.items() if v}
+    return acc if all(acc.values()) else {j: v for j, v in acc.items() if v}
 
 
 def mul(a: Mat, b: Mat) -> Mat:
@@ -276,8 +280,8 @@ def mul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     brows = b.rowmaps
-    return _canon(a.rows, b.cols, tuple(
-        _row_times(arow, brows) if arow else {} for arow in a.rowmaps),
+    return _canon(a.rows, b.cols, tuple([
+        _row_times(arow, brows) if arow else {} for arow in a.rowmaps]),
         a.den * b.den)
 
 
@@ -365,7 +369,8 @@ def mul_whisker(x: Mat, g: Mat, left: int, right: int) -> Mat:
                     acc[c] += w * v
                 else:
                     acc[c] = w * v
-        out.append({c: v for c, v in acc.items() if v})
+        out.append(acc if all(acc.values()) else
+                   {c: v for c, v in acc.items() if v})
     return _canon(x.rows, left * gcols * right, tuple(out), x.den * g.den)
 
 

@@ -7,12 +7,12 @@ lexicographically with the leftmost factor most significant; every module in
 the library inherits this convention.
 
 ``compose`` takes maps in diagram order: the first list element is applied
-first.  It multiplies a chain of whiskered steps out as one running product
-from the smaller end.  A chain of more than two steps whose widest middle
-space is larger than both ends, and than len(steps) - 1 times the rows and
-columns of its factors, is instead a tensor network whose legs are tensor
-factors: ``exactmat.contract`` joins the factors pairwise over their
-nonzeros in a greedy order, so that middle space is never materialised.
+first.  A chain with one factor that has steps is that factor; any other is
+one running product from the smaller end, unless it has more than two steps
+and its widest middle space exceeds both ends and len(steps) - 1 times the
+rows and columns of its factors: then ``exactmat.contract`` joins the
+factors, as a tensor network whose legs are tensor factors, pairwise over
+their nonzeros in a greedy order, so that middle space is never materialised.
 
 The expression grammar's ``∘`` is mathematical composition (rightmost
 factor applied first); ``⊗`` is the parallel product.  ASCII aliases ``o`` and
@@ -81,7 +81,8 @@ class TensorMap:
 def _chain(dom, cod, steps) -> TensorMap:
     """The map dom -> cod made of the given steps; its matrix is not built."""
     f = object.__new__(TensorMap)
-    f.__dict__.update(dom=dom, cod=cod, steps=steps)
+    d = f.__dict__
+    d["dom"], d["cod"], d["steps"] = dom, cod, steps
     return f
 
 
@@ -126,12 +127,11 @@ def from_table(n, in_arity, out_arity, entries) -> TensorMap:
                 Mat.from_rowmaps(rows, n ** in_arity, maps))
 
 
-def _pad(steps, ldims, rdims):
-    """The steps run beside identities on factors of dims ldims to their
-    left and rdims to their right."""
-    if not ldims and not rdims:
+def _pad(steps, left, right, at):
+    """The steps run beside an identity of size left on the at factors to
+    their left and one of size right on the factors to their right."""
+    if left == right == 1 and not at:
         return steps
-    left, right, at = prod(ldims), prod(rdims), len(ldims)
     return tuple([(g, a * left, b * right, k + at, gdom, gcod)
                   for g, a, b, k, gdom, gcod in steps])
 
@@ -146,7 +146,8 @@ def tensor(*maps: TensorMap) -> TensorMap:
         raise ArityMismatch("tensor of no maps")
     out = maps[0]
     for f in maps[1:]:
-        steps = _pad(out.steps, (), f.dom) + _pad(f.steps, out.cod, ())
+        steps = (_pad(out.steps, 1, prod(f.dom), 0)
+                 + _pad(f.steps, prod(out.cod), 1, len(out.cod)))
         out = _chain(out.dom + f.dom, out.cod + f.cod, steps)
     return out
 
@@ -214,23 +215,22 @@ def _network(dom, steps) -> Mat:
 
 def compose(chain) -> TensorMap:
     """Serial composite in diagram order: chain[0] is applied first."""
-    chain = list(chain)
-    if not chain:
+    chain = iter(chain)
+    first = prev = only = next(chain, None)
+    if first is None:
         raise ArityMismatch("compose of empty chain")
-    prev = chain[0]
-    for k in range(1, len(chain)):
-        f = chain[k]
+    steps = list(first.steps)
+    for k, f in enumerate(chain, 1):
         if f.dom != prev.cod:
-            raise ArityMismatch(
-                f"compose: step {k - 1} has cod {prev.cod} but step {k} "
-                f"has dom {f.dom}"
-            )
+            raise ArityMismatch(f"compose: step {k - 1} has cod {prev.cod} "
+                                f"but step {k} has dom {f.dom}")
+        if f.steps:  # only is the one factor with steps, while there is one
+            only = None if steps else f
+            steps += f.steps
         prev = f
-    factors = [f for f in chain if f.steps]
-    if len(factors) <= 1:
-        return factors[0] if factors else chain[0]
-    dom, cod = chain[0].dom, prev.cod
-    steps = [s for f in factors for s in f.steps]
+    if only is not None:
+        return only
+    dom, cod = first.dom, prev.cod
     mat = _product(dom, cod, steps)
     out = _chain(dom, cod, ((mat, 1, 1, 0, dom, cod),))
     out.__dict__["mat"] = mat
@@ -298,7 +298,7 @@ def lift(f: TensorMap, left: int, right: int) -> TensorMap:
         raise ArityMismatch("cannot infer carrier dimension for a scalar map")
     ids_l, ids_r = (n,) * left, (n,) * right
     return _chain(ids_l + f.dom + ids_r, ids_l + f.cod + ids_r,
-                  _pad(f.steps, ids_l, ids_r))
+                  _pad(f.steps, n ** left, n ** right, left))
 
 
 def flip_map(n) -> TensorMap:

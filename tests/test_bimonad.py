@@ -113,21 +113,22 @@ def test_an_identity_nabla_is_held_without_steps(name):
 
 def test_wbb6_and_wbb7_build_no_matrix_above_n_cubed_rows(monkeypatch):
     # the counit and unit chains pass through H^4; compose keeps them as
-    # row vectors instead of building the n^4-row lifts and tensor products
+    # row vectors instead of building the n^4-row lifts and tensor products;
+    # every Mat is made by exactmat._make, so the probe sees each one
     n = 7
     bim = inst.group_algebra(inst.cyclic_group_table(n))
     rows, marks = [], {}
-    init, add = exactmat._init, bm.AxiomReport.add
+    make, add = exactmat._make, bm.AxiomReport.add
 
-    def recording_init(mat, nrows, ncols, rowmaps, den):
+    def recording_make(nrows, ncols, rowmaps, den=1):
         rows.append(nrows)
-        init(mat, nrows, ncols, rowmaps, den)
+        return make(nrows, ncols, rowmaps, den)
 
     def marking_add(report, entry):
         marks[entry.axiom_id] = len(rows)
         add(report, entry)
 
-    monkeypatch.setattr(exactmat, "_init", recording_init)
+    monkeypatch.setattr(exactmat, "_make", recording_make)
     monkeypatch.setattr(bm.AxiomReport, "add", marking_add)
     report = bm.check_weak_braided_bimonad(bim)
     assert report.passed

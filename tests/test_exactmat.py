@@ -521,19 +521,71 @@ def test_every_tensor_map_takes_a_replaced_matrix():
         dataclasses.replace(maps[1], mat=m)
 
 
+def built_by_routes(grid, rows, cols, other):
+    """The matrix of the dense grid built along five routes, by name; other
+    is any matrix of the same shape."""
+    a = Mat(rows, cols, grid)
+    # six times the values, then a product with the diagonal of 1/6: the
+    # product's denominator is reduced by _canon
+    scaled = mul(Mat.from_rowmaps(rows, cols, [
+        {j: 6 * v for j, v in enumerate(row)} for row in grid]),
+        Mat.from_rowmaps(cols, cols, [{j: F(1, 6)} for j in range(cols)]))
+    return {"dense": a, "scaled from_rowmaps": scaled,
+            "plus zero": a + Mat(rows, cols, [[0] * cols] * rows),
+            "minus and plus": (a - other) + other,
+            "transposed twice": a.transpose().transpose()}
+
+
+ROUTES = list(built_by_routes([], 0, 0, Mat(0, 0, [])))
+
+
+@given(st.data())
+def test_equal_values_by_any_route_have_equal_den_and_rowmaps(data):
+    # the premise of first_difference's shortcut: the form is canonical
+    a = data.draw(sparse_mats())
+    other = data.draw(sparse_mats(rows=a.rows, cols=a.cols))
+    for route, m in built_by_routes(rows_of(a), a.rows, a.cols,
+                                    other).items():
+        assert (m.den, m.rowmaps) == (a.den, a.rowmaps), route
+        assert m == a and first_difference(a, m) is None, route
+
+
 @given(st.data())
 def test_first_difference_matches_dense_scan(data):
     a = data.draw(sparse_mats())
-    grid = rows_of(a)
+    # a multiple of a has a's numerators over another denominator
+    c = data.draw(st.sampled_from([1, 1, 2, F(1, 3)]))
+    grid = [[c * v for v in row] for row in rows_of(a)]
     flips = data.draw(st.lists(st.tuples(st.integers(0, max(a.rows - 1, 0)),
                                          st.integers(0, max(a.cols - 1, 0)),
                                          sparse_rationals), max_size=3))
     for i, j, v in flips:
         if i < a.rows and j < a.cols:
             grid[i][j] = v
-    b = Mat(a.rows, a.cols, grid)
+    other = data.draw(sparse_mats(rows=a.rows, cols=a.cols))
+    b = built_by_routes(grid, a.rows, a.cols,
+                        other)[data.draw(st.sampled_from(ROUTES))]
     assert first_difference(a, b) == dense_first_difference(rows_of(a), grid)
     assert first_difference(b, a) == dense_first_difference(grid, rows_of(a))
+    assert (first_difference(a, b) is None) == (a == b)
+
+
+def test_a_mat_from_every_route_refuses_assignment():
+    g = Mat(2, 2, [[1, F(1, 2)], [0, 3]])
+    built = [g, Mat.from_rowmaps(2, 3, [{0: 1}, {2: F(2, 3)}]),
+             Mat.identity(3), mul(g, g), exactmat.whisker(g, 2, 1),
+             exactmat._canon(1, 2, ({0: 2, 1: 4},), 6)]
+    for m in built:
+        for name in ("rows", "cols", "rowmaps", "den"):
+            before = getattr(m, name)
+            with pytest.raises(AttributeError):
+                setattr(m, name, 0)
+            assert getattr(m, name) is before
+    f = TensorMap((2,), (2,), g)
+    for tm in (lift(f, 1, 0), tensor(f, f), compose([f, f])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tm.dom = (4,)
+        assert tm.dom in ((2, 2), (2,))
 
 
 @given(st.data())
