@@ -25,18 +25,6 @@ class NotIdempotent(WeakHopfError):
     """split_idempotent was handed a map e with e*e != e."""
 
 
-class NotInvertible(WeakHopfError):
-    """Matrix is singular or not square; carries its rank as witness."""
-
-    def __init__(self, rank, dims=None):
-        msg = f"matrix is not invertible (rank {rank}"
-        if dims is not None:
-            msg += f", dims {dims[0]}x{dims[1]}"
-        super().__init__(msg + ")")
-        self.rank = rank
-        self.dims = dims
-
-
 class PrerequisiteAxiomFailed(WeakHopfError):
     """A construction was requested on an instance whose axioms fail."""
 

@@ -27,9 +27,12 @@ spirit of Bareiss ("Sylvester's identity and multistep integer-preserving
 Gaussian elimination", Math. Comp. 1968): a row is combined with the pivot
 row by integer multipliers and divided by its content.  It picks the first
 usable pivot in row/column order, so ranks, kernels, cokernels and
-idempotent splittings are bit-identical across runs and platforms.  An
-idempotent e splits as the pair ``(p, i)`` with ``e = i*p``; its rank is
-``p.rows``.
+idempotent splittings are bit-identical across runs and platforms.  It runs
+in two phases: a forward pass clears each pivot's column below it, and is
+all that ``rank`` runs; back-substitution, last pivot first, clears above
+for ``rref``.  No matrix is inverted: ``inverse_times`` eliminates [a | b]
+once for the rank of a and a^-1 * b.  An idempotent e splits as the pair
+``(p, i)`` with ``e = i*p``; its rank is ``p.rows``.
 
 A matrix is built by ``Mat(rows, cols, dense_rows)``,
 ``Mat.from_rowmaps(rows, cols, maps)`` or ``Mat.identity(n)``; every route
@@ -47,7 +50,7 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 from operator import itemgetter
 
-from .errors import DimensionMismatch, NotIdempotent, NotInvertible
+from .errors import DimensionMismatch, NotIdempotent
 
 
 def _over_one_den(maps):
@@ -96,6 +99,8 @@ class Mat:
 
     def __setattr__(self, *_args):
         raise AttributeError("Mat is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def identity(n):
@@ -480,19 +485,12 @@ def _primitive(row, sign=1):
     return row if c == 1 else {j: v // c for j, v in row.items()}
 
 
-def rref(m: Mat):
-    """Reduced row echelon form with first-nonzero pivoting.
-
-    Returns (R, pivots) where pivots is the tuple of pivot column indices.
-    The elimination runs on the numerator rows, whose row space is that of
-    m: a row is replaced by (p/g)*row - (f/g)*pivot row, where p is the
-    pivot, f the row's entry in the pivot column and g = gcd(p, f), and then
-    divided by its content.  Pivot rows keep a positive pivot.  At the end
-    each pivot row is scaled to the lcm of the pivots, which is R's
-    denominator; R is canonical because every row is primitive.
-    """
-    rows = list(m.rowmaps)
-    nrows, ncols = m.rows, m.cols
+def _echelon(rows, ncols):
+    """The forward pass of :func:`rref` on a list of numerator rows, whose
+    row space is that of the matrix, in place: each pivot row is made
+    primitive with a positive pivot and the rows below it are cleared in
+    its column.  Returns the pivot columns."""
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -501,58 +499,82 @@ def rref(m: Mat):
             continue
         prow = rows[pr]
         rows[pr] = rows[r]
-        prow = _primitive(prow, -1 if prow[c] < 0 else 1)
-        rows[r] = prow
-        p = prow[c]
-        for k, row in enumerate(rows):
-            f = row.get(c)
-            if k == r or f is None:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            new = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
-            get = new.get
-            for j, w in prow.items():
-                x = get(j, 0) - b * w
-                if x:
-                    new[j] = x
-                else:
-                    del new[j]
-            rows[k] = _primitive(new) if new else new
+        prow = rows[r] = _primitive(prow, -1 if prow[c] < 0 else 1)
+        for k in range(r + 1, nrows):
+            if c in rows[k]:
+                rows[k] = _eliminate(rows[k], prow, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _eliminate(row, prow, c):
+    """(p/g)*row - (f/g)*prow divided by its content, where p and f are the
+    entries of prow and row in column c and g = gcd(p, f)."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    new = dict(row) if a == 1 else {j: a * v for j, v in row.items()}
+    get = new.get
+    for j, w in prow.items():
+        x = get(j, 0) - b * w
+        if x:
+            new[j] = x
+        else:
+            del new[j]
+    return _primitive(new) if new else new
+
+
+def rref(m: Mat):
+    """Reduced row echelon form with first-nonzero pivoting.
+
+    Returns (R, pivots) where pivots is the tuple of pivot column indices.
+    After :func:`_echelon`, back-substitution clears each pivot's column
+    above it, last pivot first, with :func:`_eliminate`.  Each pivot row is
+    then scaled to the lcm of the pivots, which is R's denominator; R is
+    canonical because every row is primitive, and unique, as the reduced
+    form is.
+    """
+    rows = list(m.rowmaps)
+    pivots = _echelon(rows, m.cols)
+    for t in range(len(pivots) - 1, 0, -1):
+        prow, c = rows[t], pivots[t]
+        for k in range(t):
+            if c in rows[k]:
+                rows[k] = _eliminate(rows[k], prow, c)
     den = lcm(*(rows[t][c] for t, c in enumerate(pivots)))
     if den != 1:
         for t, c in enumerate(pivots):
             k = den // rows[t][c]
             if k != 1:
                 rows[t] = {j: k * v for j, v in rows[t].items()}
-    return _make(nrows, ncols, tuple(rows), den), tuple(pivots)
+    return _make(m.rows, m.cols, tuple(rows), den), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    """The number of pivots of the forward pass of :func:`rref`."""
+    return len(_echelon(list(m.rowmaps), m.cols))
 
 
 def split_idempotent(e: Mat):
     """(p, i) with e = i*p and p*i the identity of size rank(e) = p.rows;
-    the pivot columns of e give the basis."""
+    the pivot columns of e give the basis.
+
+    Any matrix is i*p for i its pivot columns and p the nonzero rows of its
+    reduced form.  The columns of i and the rows of p are independent, so
+    e*e = i*(p*i)*p equals e exactly when p*i is the identity.
+    """
     if e.rows != e.cols:
         raise DimensionMismatch("idempotent must be square")
-    if mul(e, e) != e:
-        raise NotIdempotent("e*e != e")
     red, pivots = rref(e)
     r = len(pivots)
     i = e.column_mat(list(pivots))
     # the rows of red below r are zero, so its first r rows keep its den
     p = _make(r, e.cols, red.rowmaps[:r], red.den)
-    # rank factorization of an idempotent: i*p = e forces p*i = identity
     if mul(p, i) != Mat.identity(r):
-        raise NotIdempotent("rank factorization did not split")
-    if mul(i, p) != e:
-        raise NotIdempotent("rank factorization does not recompose e")
+        raise NotIdempotent("e*e != e")
     return p, i
 
 
@@ -588,16 +610,17 @@ def _right_block(red: Mat, rowcount: int, off: int, width: int):
         for r in range(rowcount)), red.den)
 
 
-def invert(m: Mat) -> Mat:
-    """Exact inverse via Gauss-Jordan; raises NotInvertible with the rank."""
-    if m.rows != m.cols:
-        raise NotInvertible(rank(m), dims=(m.rows, m.cols))
-    n = m.rows
-    red, pivots = rref(_hstack(m, Mat.identity(n)))
-    lead = [c for c in pivots if c < n]
-    if len(lead) < n:
-        raise NotInvertible(len(lead), dims=(n, n))
-    return _right_block(red, n, n, n)
+def inverse_times(a: Mat, b: Mat):
+    """(rank(a), a^-1 * b) from one elimination of [a | b]; the product is
+    None unless a is square of full rank."""
+    if a.rows != b.rows:
+        raise DimensionMismatch("inverse_times: row counts differ")
+    n = a.cols
+    red, pivots = rref(_hstack(a, b))
+    r = sum(c < n for c in pivots)
+    if r < a.rows or n != a.rows:
+        return r, None
+    return r, _right_block(red, n, n, b.cols)
 
 
 def solve(a: Mat, b: Mat):
@@ -637,10 +660,9 @@ def section(m: Mat):
 
 
 def same_column_span(a: Mat, b: Mat) -> bool:
-    """True when the column spaces of a and b coincide."""
+    """True when the column spaces of a and b coincide, for a and b whose
+    columns are independent: then both spans have the dimension of [a | b]
+    exactly when they are one span."""
     if a.rows != b.rows:
         raise DimensionMismatch("span comparison needs equal ambient dimension")
-    ra, rb = rank(a), rank(b)
-    if ra != rb:
-        return False
-    return rank(_hstack(a, b)) == ra
+    return a.cols == b.cols and rank(_hstack(a, b)) == a.cols

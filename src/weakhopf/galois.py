@@ -7,7 +7,10 @@ factorization identity afterwards; a failed verification raises
 FactorizationFailed, never a silent acceptance.  gamma_prime, the map into
 the cotensor, is the transpose of such a factorisation through the
 transposed inclusion, so inclusions are never solved for.  Invertibility
-means square and full rank over the rationals.
+means square and full rank over the rationals.  The rank of gamma comes from
+one elimination of [gamma | B], B = pbar . (id (x) e), whose right block is
+then gamma^-1 B, the part of gamma^-1 that the antipode
+S = q_tilde . gamma^-1 B needs.
 
     gamma       : H (x)_{base} H  -> Gbar     with  gamma . l = pbar . sigma
     gamma_prime : Tbar -> H (x)^{base} H      with  can . gamma_prime
@@ -18,13 +21,13 @@ means square and full rank over the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from . import exactmat
 from .baseobject import ActionData
 from .bimonad import AxiomReport, WeakBraidedBimonad, compare
 from .entwining import EntwiningData
-from .errors import InconsistencyError, NotInvertible
-from .exactmat import Mat
+from .errors import InconsistencyError
 from .tensorexpr import (TensorMap, coequaliser, compose, equaliser,
                          factor_through, identity_map, lift, tensor,
                          transpose)
@@ -37,6 +40,8 @@ class GaloisData:
     can: TensorMap          # (c,) -> (n, n), cotensor inclusion
     cotensor_dim: int
     gamma: TensorMap        # (t,) -> (gbar,)
+    # (n,) -> (t,): gamma^-1 . pbar . (id (x) e) when gamma is invertible
+    gamma_inv_b: Optional[TensorMap]
     gamma_prime: TensorMap  # (tbar,) -> (c,)
     q_tilde: TensorMap      # (t,) -> (n,)
     zeta: TensorMap         # (t, n) -> (t,), induced right action on the quotient
@@ -53,11 +58,6 @@ class GaloisData:
     @property
     def tbar_dim(self):
         return self.gamma_prime.dom[0]
-
-
-def _invertibility(mat: Mat):
-    r = exactmat.rank(mat)
-    return (mat.rows == mat.cols and r == mat.rows), r
 
 
 def build_gamma(bim: WeakBraidedBimonad, ent: EntwiningData, l: TensorMap):
@@ -130,13 +130,19 @@ def build_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
     report.add(compare("gal.gamma-module-morphism",
                        compose([zeta, gamma]),
                        compose([tensor(gamma, one), gbar_act])))
-    gamma_ok, gamma_rank = _invertibility(gamma.mat)
-    gp_ok, gp_rank = _invertibility(gamma_prime.mat)
+    b_map = compose([tensor(one, bim.e), ent.pbar])
+    gamma_rank, inv_b = exactmat.inverse_times(gamma.mat, b_map.mat)
+    gamma_inv_b = None if inv_b is None else TensorMap(b_map.dom, gamma.dom,
+                                                       inv_b)
+    gp_mat = gamma_prime.mat
+    gp_rank = exactmat.rank(gp_mat)
     data = GaloisData(
         l=l, tensor_dim=l.cod[0], can=can, cotensor_dim=can.dom[0],
-        gamma=gamma, gamma_prime=gamma_prime, q_tilde=q_tilde, zeta=zeta,
-        gamma_invertible=gamma_ok, gamma_rank=gamma_rank,
-        gamma_prime_invertible=gp_ok, gamma_prime_rank=gp_rank,
+        gamma=gamma, gamma_inv_b=gamma_inv_b, gamma_prime=gamma_prime,
+        q_tilde=q_tilde, zeta=zeta,
+        gamma_invertible=inv_b is not None, gamma_rank=gamma_rank,
+        gamma_prime_invertible=gp_rank == gp_mat.rows == gp_mat.cols,
+        gamma_prime_rank=gp_rank,
         report=report,
     )
     failed = report.failed_ids()
@@ -180,10 +186,3 @@ def check_remark_inverses(bim: WeakBraidedBimonad, ent: EntwiningData,
                        identity_map(gal.gamma_prime.cod)))
     return report
 
-
-def gamma_inverse(gal: GaloisData) -> TensorMap:
-    """Exact inverse of gamma; raises NotInvertible with the rank."""
-    if not gal.gamma_invertible:
-        raise NotInvertible(gal.gamma_rank,
-                            dims=(gal.gamma.mat.rows, gal.gamma.mat.cols))
-    return TensorMap(gal.gamma.cod, gal.gamma.dom, exactmat.invert(gal.gamma.mat))

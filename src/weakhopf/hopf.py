@@ -2,7 +2,10 @@
 
 A weak antipode S is built two independent ways.
 
-* Through the inverse Galois map: S = q_tilde . gamma^-1 . pbar . (id (x) e).
+* Through the inverse Galois map: S = q_tilde . gamma^-1 B with
+  B = pbar . (id (x) e).  The Galois stage eliminates [gamma | B] once, which
+  gives the rank of gamma and gamma^-1 B together; gamma itself is never
+  inverted.
 * By one linear solve.  The conditions 1*S = xi and S*1 = xibar are affine
   in S.  If they have no solution, no weak antipode exists.  Otherwise any
   solution T gives the antipode S = T*1*T: with xi*1 = 1
@@ -29,8 +32,8 @@ from .bimonad import require_instance  # noqa: F401
 from .entwining import EntwiningData
 from .errors import GaloisNotInvertible, InconsistencyError
 from .exactmat import Mat, mul, solve
-from .galois import GaloisData, gamma_inverse
-from .tensorexpr import TensorMap, compose, hmap, tensor
+from .galois import GaloisData
+from .tensorexpr import TensorMap, compose, hmap
 
 
 @dataclass(frozen=True)
@@ -70,15 +73,14 @@ def check_antipode(bim: WeakBraidedBimonad, ent: EntwiningData,
 
 def construct_antipode_from_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
                                    gal: GaloisData) -> Antipode:
-    """S = q_tilde . gamma^-1 . pbar . (id (x) e); the defining conditions are
-    theorem-backed, so a failing check is a fatal inconsistency.  The passing
-    check is kept as the antipode's ``report``."""
+    """S = q_tilde . gamma^-1 B with B = pbar . (id (x) e), from the
+    gamma^-1 B of the Galois stage's elimination of [gamma | B]; the defining
+    conditions are theorem-backed, so a failing check is a fatal
+    inconsistency.  The passing check is kept as the antipode's ``report``."""
     if not gal.gamma_invertible:
         raise GaloisNotInvertible(gal.gamma_rank,
                                   dims=(gal.gamma.mat.rows, gal.gamma.mat.cols))
-    one = bim.id1()
-    s_map = compose([tensor(one, bim.e), ent.pbar, gamma_inverse(gal),
-                     gal.q_tilde])
+    s_map = compose([gal.gamma_inv_b, gal.q_tilde])
     report = check_antipode(bim, ent, s_map)
     failed = report.failed_ids()
     if failed:

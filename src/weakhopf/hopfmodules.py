@@ -21,7 +21,6 @@ from .errors import (
     PrerequisiteAxiomFailed,
     RoundTripFailed,
 )
-from .exactmat import same_column_span
 from .hopf import Antipode
 from .instances import dual_instance
 from .tensorexpr import (TensorMap, coequaliser, compose, equaliser,
@@ -226,8 +225,10 @@ def coinvariants(bim: WeakBraidedBimonad, ent: EntwiningData,
 
     With an antipode, additionally verify that beta = h . (S (x) id) . theta
     is idempotent, that its splitting computes the same subspace, and the
-    split-witness identities of the adjunction units/counits.  ``laws`` is
-    the check_mixed_bimodule report of mod if the caller has it already.
+    split-witness identities of the adjunction units/counits.  The split
+    image, of independent columns, is the equaliser when it lies in the
+    kernel of the difference and has its dimension.  ``laws`` is the
+    check_mixed_bimodule report of mod if the caller has it already.
     """
     if laws is None:
         laws = check_mixed_bimodule(bim, ent, mod)
@@ -238,27 +239,29 @@ def coinvariants(bim: WeakBraidedBimonad, ent: EntwiningData,
     canonical = compose([
         tensor(bim.e, idd), tensor(bim.delta, idd), tensor(one, mod.h),
     ])
-    inclusion = equaliser(mod.theta, canonical)
     report = AxiomReport()
-    projection = None
-    if antipode is not None:
-        beta = compose([mod.theta, tensor(antipode.map, idd), mod.h])
-        idem = compare("coinv.beta-idem", compose([beta, beta]), beta)
-        report.add(idem)
-        if not idem.holds:
-            raise InconsistencyError("coinv.beta-idem failed with an antipode")
-        q_map, i_map = split(beta)
-        report.add(AxiomEntry("coinv.beta-span",
-                              same_column_span(i_map.mat, inclusion.mat),
-                              None))
-        report.add(compare("coinv.prop75-square",
-                           compose([mod.theta, tensor(one, beta), mod.h]), idd))
-        report.add(compare("coinv.prop76-splitwitness",
-                           compose([mod.theta, tensor(one, q_map),
-                                    tensor(one, i_map), mod.h]), idd))
-        inclusion, projection = i_map, q_map
-    return Coinvariants(dim=inclusion.dom[0], inclusion=inclusion,
-                        projection=projection, report=report)
+    if antipode is None:
+        inclusion = equaliser(mod.theta, canonical)
+        return Coinvariants(dim=inclusion.dom[0], inclusion=inclusion,
+                            projection=None, report=report)
+    beta = compose([mod.theta, tensor(antipode.map, idd), mod.h])
+    idem = compare("coinv.beta-idem", compose([beta, beta]), beta)
+    report.add(idem)
+    if not idem.holds:
+        raise InconsistencyError("coinv.beta-idem failed with an antipode")
+    q_map, i_map = split(beta)
+    diff = mod.theta.mat - canonical.mat
+    report.add(AxiomEntry(
+        "coinv.beta-span",
+        not any(exactmat.mul(diff, i_map.mat).rowmaps)
+        and i_map.dom[0] == mod.dim - exactmat.rank(diff), None))
+    report.add(compare("coinv.prop75-square",
+                       compose([mod.theta, tensor(one, beta), mod.h]), idd))
+    report.add(compare("coinv.prop76-splitwitness",
+                       compose([mod.theta, tensor(one, q_map),
+                                tensor(one, i_map), mod.h]), idd))
+    return Coinvariants(dim=i_map.dom[0], inclusion=i_map,
+                        projection=q_map, report=report)
 
 
 def induce_from_base(bim: WeakBraidedBimonad, base: BaseObject,

@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_hopf import composed_conv_operator
 
-from weakhopf import cli, hopf
+from weakhopf import cli, exactmat, hopf
 from weakhopf import tensorexpr as tx
 from weakhopf import instances as inst
 from weakhopf.bimonad import WeakBraidedBimonad
-from weakhopf.exactmat import Mat, invert, rank
+from weakhopf.exactmat import Mat, rank, solve
 from weakhopf.pipeline import Pipeline
 from weakhopf.tensorexpr import compose, hmap, lift, tensor, transpose
 
@@ -40,7 +40,7 @@ def change_basis(bim, p):
     delta' = (P^-1 (x) P^-1) . delta . P, and likewise e, eps, tau and
     tau_prime."""
     n = bim.n
-    fwd, back = hmap(n, 1, 1, p), hmap(n, 1, 1, invert(p))
+    fwd, back = hmap(n, 1, 1, p), hmap(n, 1, 1, solve(p, Mat.identity(n)))
     fwd2, back2 = tensor(fwd, fwd), tensor(back, back)
     tau = compose([fwd2, bim.tau, back2])
     tau_prime = None if bim.tau_prime is bim.tau \
@@ -70,6 +70,29 @@ def test_change_of_basis_keeps_the_verdict(make, seed):
     pipe = Pipeline(moved)
     assert pipe.failed_axioms == []
     assert invariants(pipe) == invariants(Pipeline(bim))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["g2", "dense-g2"])
+def test_the_antipode_eliminates_gamma_beside_n_columns(dense, monkeypatch):
+    # gamma^-1 is needed only on the n columns of pbar . (id (x) e)
+    bim = inst.g2()
+    if dense:
+        bim = change_basis(bim, random_basis(bim.n, 1))
+    seen = []
+    rref = exactmat.rref
+
+    def recording(m):
+        seen.append(m)
+        return rref(m)
+
+    monkeypatch.setattr(exactmat, "rref", recording)
+    pipe = Pipeline(bim)
+    assert pipe.antipode is not None
+    gamma = pipe.galois.gamma.mat
+    widths = [m.cols for m in seen if m.rows == gamma.rows
+              and m.cols >= gamma.cols
+              and m.column_mat(range(gamma.cols)) == gamma]
+    assert widths and max(widths) <= gamma.cols + bim.n
 
 
 def test_conv_operator_in_a_dense_basis():

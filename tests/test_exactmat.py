@@ -7,12 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakhopf import exactmat
-from weakhopf.errors import DimensionMismatch, NotIdempotent, NotInvertible
+from weakhopf.errors import DimensionMismatch, NotIdempotent
 from weakhopf.exactmat import (
     Mat,
     cokernel_projection,
     first_difference,
-    invert,
+    inverse_times,
     kernel_basis,
     mul,
     rank,
@@ -189,10 +189,15 @@ def test_cokernel_rank_complement(m):
     assert rank(proj) + rank(m) == 3
 
 
+def invert(m):
+    """(rank(m), m^-1 or None), by inverse_times against the identity."""
+    return inverse_times(m, Mat.identity(m.rows))
+
+
 def test_invert_diagonal():
-    assert invert(Mat.identity(3)) == Mat.identity(3)
+    assert invert(Mat.identity(3)) == (3, Mat.identity(3))
     d = Mat(2, 2, [[2, 0], [0, 3]])
-    assert invert(d) == Mat(2, 2, [[F(1, 2), 0], [0, F(1, 3)]])
+    assert invert(d) == (2, Mat(2, 2, [[F(1, 2), 0], [0, F(1, 3)]]))
 
 
 def test_invert_nz_galois_matrix_rank_witness():
@@ -205,9 +210,7 @@ def test_invert_nz_galois_matrix_rank_witness():
         [0, 0, 1, 1],
     ])
     assert gauss_rank_oracle(sigma.data) == 3
-    with pytest.raises(NotInvertible) as err:
-        invert(sigma)
-    assert err.value.rank == 3
+    assert invert(sigma) == (3, None)
 
 
 @pytest.mark.parametrize("rows, want", [
@@ -217,10 +220,7 @@ def test_invert_nz_galois_matrix_rank_witness():
 ])
 def test_invert_non_square_reports_its_rank(rows, want):
     m = Mat(len(rows), len(rows[0]), rows)
-    with pytest.raises(NotInvertible) as err:
-        invert(m)
-    assert err.value.rank == want
-    assert err.value.dims == (m.rows, m.cols)
+    assert invert(m) == (want, None)
 
 
 @settings(max_examples=20)
@@ -373,6 +373,94 @@ def test_rref_matches_dense_oracle(m):
     assert rows_of(red) == want
 
 
+def test_split_idempotent_multiplies_once_at_its_rank(monkeypatch):
+    # e = P D P^-1 of rank 2 in a dense basis: the one product is p*i, 2x2
+    p = Mat(4, 4, [[1, 2, 0, -1], [0, 1, 3, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+    d = Mat.from_rowmaps(4, 4, [{0: 1}, {}, {2: 1}, {}])
+    e = mul(mul(p, d), solve(p, Mat.identity(4)))
+    calls = []
+    real = exactmat.mul
+
+    def counting(a, b):
+        calls.append((a.rows, a.cols, b.rows, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(exactmat, "mul", counting)
+    split_idempotent(e)
+    assert calls == [(2, 4, 4, 2)]
+
+
+@st.composite
+def conjugated_projections(draw):
+    """P D P^-1 for a dense invertible rational P and a 0/1 diagonal D, with
+    one entry of the result moved by a random amount half the time."""
+    n = draw(st.integers(1, 4))
+
+    def unit_triangular(cols):
+        return Mat.from_rowmaps(n, n, [
+            {j: 1 if i == j else draw(sparse_rationals) for j in cols(i)}
+            for i in range(n)])
+
+    p = mul(unit_triangular(lambda i: range(i + 1)),
+            unit_triangular(lambda i: range(i, n)))
+    d = Mat.from_rowmaps(n, n, [{i: draw(st.sampled_from([0, 1]))}
+                                for i in range(n)])
+    e = mul(mul(p, d), solve(p, Mat.identity(n)))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        e = e + Mat.from_rowmaps(n, n, [{j: draw(rationals)} if r == i else {}
+                                        for r in range(n)])
+    return e
+
+
+@given(st.one_of(
+    st.integers(0, 4).flatmap(lambda n: sparse_mats(rows=n, cols=n)),
+    conjugated_projections()))
+def test_split_refuses_exactly_the_matrices_that_are_not_idempotent(e):
+    if mul(e, e) == e:
+        p, i = split_idempotent(e)
+        assert mul(i, p) == e and mul(p, i) == Mat.identity(p.rows)
+    else:
+        with pytest.raises(NotIdempotent, match=r"^e\*e != e$"):
+            split_idempotent(e)
+
+
+def _independent_columns(m):
+    """The pivot columns of m, which are independent and span its columns."""
+    return m.column_mat(list(rref(m)[1]))
+
+
+def _hstack(a, b):
+    return Mat(a.rows, a.cols + b.cols,
+               [ra + rb for ra, rb in zip(a.data, b.data)])
+
+
+@st.composite
+def independent_column_pairs(draw):
+    """(a, b) with independent columns and equal row counts; b spans a
+    subspace of the span of a half the time, all of it when the random
+    square factor is invertible."""
+    rows = draw(st.integers(0, 5))
+    a = _independent_columns(draw(sparse_mats(rows=rows)))
+    if draw(st.booleans()):
+        b = mul(a, draw(sparse_mats(rows=a.cols)))
+    else:
+        b = draw(sparse_mats(rows=rows))
+    return a, _independent_columns(b)
+
+
+@given(sparse_mats())
+def test_rank_counts_the_pivots_of_the_reduced_form(m):
+    assert rank(m) == len(rref(m)[1])
+
+
+@given(independent_column_pairs())
+def test_same_column_span_agrees_with_the_three_rank_definition(pair):
+    a, b = pair
+    three_ranks = rank(a) == rank(b) == rank(_hstack(a, b))
+    assert exactmat.same_column_span(a, b) is three_ranks
+
+
 @given(sparse_mats())
 def test_kernel_basis_matches_dense_oracle(m):
     basis = kernel_basis(m)
@@ -397,12 +485,12 @@ def test_invert_matches_dense_oracle(m):
     n = m.rows
     identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     _, pivots = dense_rref(rows_of(m))
-    if len(pivots) < n:
-        with pytest.raises(NotInvertible) as err:
-            invert(m)
-        assert err.value.rank == len(pivots)
+    r, inverse = invert(m)
+    assert r == len(pivots)
+    if r < n:
+        assert inverse is None
     else:
-        assert rows_of(invert(m)) == dense_solve(rows_of(m), identity, n, n)
+        assert rows_of(inverse) == dense_solve(rows_of(m), identity, n, n)
 
 
 @st.composite
@@ -580,6 +668,8 @@ def test_a_mat_from_every_route_refuses_assignment():
             before = getattr(m, name)
             with pytest.raises(AttributeError):
                 setattr(m, name, 0)
+            with pytest.raises(AttributeError, match="Mat is immutable"):
+                delattr(m, name)
             assert getattr(m, name) is before
     f = TensorMap((2,), (2,), g)
     for tm in (lift(f, 1, 0), tensor(f, f), compose([f, f])):

@@ -141,6 +141,22 @@ def test_beta_checks_on_shipped_modules(g2, z2, sl, k2):
             assert coin.report.passed
 
 
+def test_beta_span_needs_the_kernel_and_its_dimension(z2):
+    # Z2 = span(1, g): S = swap makes beta the projection onto span(g), of
+    # the coinvariants' dimension but outside them; S = 0 makes beta = 0
+    bim, ent = z2.bim, z2.entwining
+    module = hm.K_omega(bim, 1)
+    coinvariants = hm.coinvariants(bim, ent, None, module).inclusion.mat
+    for rows, holds in (([[1, 0], [0, 1]], True), ([[0, 1], [1, 0]], False),
+                        ([[0, 0], [0, 0]], False)):
+        stand_in = hopf.Antipode(TensorMap((2,), (2,), Mat(2, 2, rows)),
+                                 "given")
+        coin = hm.coinvariants(bim, ent, stand_in, module)
+        assert _entry(coin.report, "coinv.beta-idem").holds
+        assert _entry(coin.report, "coinv.beta-span").holds is holds
+        assert same_column_span(coin.inclusion.mat, coinvariants) is holds
+
+
 def test_roundtrip_regular_module(g2, z2):
     for pipe, dim in ((g2, 4), (z2, 2)):
         module = hm.K_omega(pipe.bim, 1)
