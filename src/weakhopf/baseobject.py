@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bimonad import AxiomReport, WeakBraidedBimonad, compare
+from .bimonad import (AxiomReport, WeakBraidedBimonad, action_laws,
+                      coaction_laws, compare)
 from .entwining import EntwiningData
 from .errors import InconsistencyError
 from .exactmat import rank, same_column_span
@@ -45,12 +46,6 @@ class ActionData:
     theta_l: TensorMap  # (n,) -> (r, n)
     theta_r: TensorMap  # (n,) -> (n, r)
     report: AxiomReport
-
-
-def _require(report: AxiomReport, context: str):
-    failed = report.failed_ids()
-    if failed:
-        raise InconsistencyError(f"{context}: {', '.join(failed)}")
 
 
 def build_base(bim: WeakBraidedBimonad, ent: EntwiningData) -> BaseObject:
@@ -94,7 +89,7 @@ def build_base(bim: WeakBraidedBimonad, ent: EntwiningData) -> BaseObject:
                        compose([m, q])))
     if rank(co_d) != n - base.r:
         raise InconsistencyError("base.coequaliser-rank: cokernel dim != r")
-    _require(report, "build_base")
+    report.require("build_base")
     return base
 
 
@@ -104,17 +99,13 @@ def check_frobenius_separable(base: BaseObject) -> AxiomReport:
     one = identity_map((r,))
     mb, eb, db, epsb, ups = (base.m_base, base.e_base, base.delta_base,
                              base.eps_base, base.upsilon)
-    report = AxiomReport()
-    report.add(compare("base.alg.assoc",
-                       compose([tensor(mb, one), mb]),
-                       compose([tensor(one, mb), mb])))
-    report.add(compare("base.alg.unit-left", compose([tensor(eb, one), mb]), one))
-    report.add(compare("base.alg.unit-right", compose([tensor(one, eb), mb]), one))
-    report.add(compare("base.coa.coassoc",
-                       compose([db, tensor(db, one)]),
-                       compose([db, tensor(one, db)])))
-    report.add(compare("base.coa.counit-left", compose([db, tensor(epsb, one)]), one))
-    report.add(compare("base.coa.counit-right", compose([db, tensor(one, epsb)]), one))
+    report = AxiomReport(
+        action_laws(("base.alg.assoc", "base.alg.unit-left"), mb, eb, mb)
+        + action_laws((None, "base.alg.unit-right"), mb, eb, mb, right=True)
+        + coaction_laws(("base.coa.coassoc", "base.coa.counit-left"),
+                        db, epsb, db)
+        + coaction_laws((None, "base.coa.counit-right"), db, epsb, db,
+                        right=True))
     frob = compose([mb, db])
     report.add(compare("base.frobenius-left",
                        frob, compose([tensor(db, one), tensor(one, mb)])))
@@ -139,37 +130,27 @@ def build_actions(bim: WeakBraidedBimonad, base: BaseObject) -> ActionData:
     theta_l = compose([delta, tensor(base.q, one)])
     theta_r = compose([delta, tensor(one, base.q)])
 
-    report = AxiomReport()
-    report.add(compare("act.left-assoc",
-                       compose([tensor(base.m_base, one), rho_l]),
-                       compose([tensor(idr, rho_l), rho_l])))
-    report.add(compare("act.left-unit",
-                       compose([tensor(base.e_base, one), rho_l]), one))
-    report.add(compare("act.right-assoc",
-                       compose([tensor(one, base.m_base), rho_r]),
-                       compose([tensor(rho_r, idr), rho_r])))
-    report.add(compare("act.right-unit",
-                       compose([tensor(one, base.e_base), rho_r]), one))
-    report.add(compare("act.bimodule",
-                       compose([tensor(rho_l, idr), rho_r]),
-                       compose([tensor(idr, rho_r), rho_l])))
-    report.add(compare("coact.left-coassoc",
-                       compose([theta_l, tensor(base.delta_base, one)]),
-                       compose([theta_l, tensor(idr, theta_l)])))
-    report.add(compare("coact.left-counit",
-                       compose([theta_l, tensor(base.eps_base, one)]), one))
-    report.add(compare("coact.right-coassoc",
-                       compose([theta_r, tensor(one, base.delta_base)]),
-                       compose([theta_r, tensor(theta_r, idr)])))
-    report.add(compare("coact.right-counit",
-                       compose([theta_r, tensor(one, base.eps_base)]), one))
-    report.add(compare("coact.bicomodule",
-                       compose([theta_l, tensor(idr, theta_r)]),
-                       compose([theta_r, tensor(theta_l, idr)])))
-    report.add(compare("act.q-module-morphism",
-                       compose([tensor(one, base.iota), m, base.q]),
-                       compose([tensor(base.q, idr), base.m_base])))
-    _require(report, "build_actions")
+    alg = base.m_base, base.e_base
+    coa = base.delta_base, base.eps_base
+    report = AxiomReport([
+        *action_laws(("act.left-assoc", "act.left-unit"), *alg, rho_l),
+        *action_laws(("act.right-assoc", "act.right-unit"), *alg, rho_r,
+                     right=True),
+        compare("act.bimodule",
+                compose([tensor(rho_l, idr), rho_r]),
+                compose([tensor(idr, rho_r), rho_l])),
+        *coaction_laws(("coact.left-coassoc", "coact.left-counit"), *coa,
+                       theta_l),
+        *coaction_laws(("coact.right-coassoc", "coact.right-counit"), *coa,
+                       theta_r, right=True),
+        compare("coact.bicomodule",
+                compose([theta_l, tensor(idr, theta_r)]),
+                compose([theta_r, tensor(theta_l, idr)])),
+        compare("act.q-module-morphism",
+                compose([tensor(one, base.iota), m, base.q]),
+                compose([tensor(base.q, idr), base.m_base])),
+    ])
+    report.require("build_actions")
     return ActionData(rho_l=rho_l, rho_r=rho_r, theta_l=theta_l, theta_r=theta_r,
                       report=report)
 

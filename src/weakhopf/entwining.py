@@ -102,42 +102,30 @@ def build_entwining(bim: WeakBraidedBimonad) -> EntwiningData:
 
 
 def check_weak_entwining(ent: EntwiningData, bim: WeakBraidedBimonad) -> AxiomReport:
-    """Weak-entwining axioms for both the omega and the omegabar side."""
+    """Weak-entwining axioms for both the omega and the omegabar side; the
+    omegabar laws are the omega laws with every tensor product mirrored."""
     m, e, delta, eps = bim.m, bim.e, bim.delta, bim.eps
     one = bim.id1()
-    w, wb = ent.omega, ent.omegabar
-    report = AxiomReport()
-    report.add(compare("ent.m.i-mult",
-                       compose([lift(m, 0, 1), w]),
-                       compose([lift(w, 1, 0), lift(w, 0, 1), lift(m, 1, 0)])))
-    report.add(compare("ent.m.i-comult",
-                       compose([w, lift(delta, 0, 1)]),
-                       compose([lift(delta, 1, 0), lift(w, 0, 1), lift(w, 1, 0)])))
-    report.add(compare("ent.m.ii-unit",
-                       compose([tensor(e, one), w]),
-                       compose([delta, tensor(one, ent.xi)])))
-    report.add(compare("ent.m.ii-counit",
-                       compose([w, tensor(eps, one)]),
-                       compose([tensor(one, ent.xi), m])))
-    report.add(compare("ent.c.i-mult",
-                       compose([lift(m, 1, 0), wb]),
-                       compose([lift(wb, 0, 1), lift(wb, 1, 0), lift(m, 0, 1)])))
-    report.add(compare("ent.c.i-comult",
-                       compose([wb, lift(delta, 1, 0)]),
-                       compose([lift(delta, 0, 1), lift(wb, 1, 0), lift(wb, 0, 1)])))
-    report.add(compare("ent.c.ii-unit",
-                       compose([tensor(one, e), wb]),
-                       compose([delta, tensor(ent.xibar, one)])))
-    report.add(compare("ent.c.ii-counit",
-                       compose([wb, tensor(one, eps)]),
-                       compose([tensor(ent.xibar, one), m])))
-    report.add(compare("ent.m.compat",
-                       compose([m, delta]),
-                       compose([lift(delta, 1, 0), lift(w, 0, 1), lift(m, 1, 0)])))
-    report.add(compare("ent.c.compat",
-                       compose([m, delta]),
-                       compose([lift(delta, 0, 1), lift(wb, 1, 0), lift(m, 0, 1)])))
-    return report
+
+    def laws(side, w, xi, mirrored):
+        lf = (lambda f, a, b: lift(f, b, a)) if mirrored else lift
+        tn = (lambda f, g: tensor(g, f)) if mirrored else tensor
+        return [
+            compare(f"ent.{side}.i-mult", compose([lf(m, 0, 1), w]),
+                    compose([lf(w, 1, 0), lf(w, 0, 1), lf(m, 1, 0)])),
+            compare(f"ent.{side}.i-comult", compose([w, lf(delta, 0, 1)]),
+                    compose([lf(delta, 1, 0), lf(w, 0, 1), lf(w, 1, 0)])),
+            compare(f"ent.{side}.ii-unit", compose([tn(e, one), w]),
+                    compose([delta, tn(one, xi)])),
+            compare(f"ent.{side}.ii-counit", compose([w, tn(eps, one)]),
+                    compose([tn(one, xi), m])),
+            compare(f"ent.{side}.compat", compose([m, delta]),
+                    compose([lf(delta, 1, 0), lf(w, 0, 1), lf(m, 1, 0)])),
+        ]
+
+    first = laws("m", ent.omega, ent.xi, False)
+    second = laws("c", ent.omegabar, ent.xibar, True)
+    return AxiomReport(first[:4] + second[:4] + first[4:] + second[4:])
 
 
 def check_derived_identities(ent: EntwiningData, bim: WeakBraidedBimonad) -> AxiomReport:

@@ -30,9 +30,10 @@ usable pivot in row/column order, so ranks, kernels, cokernels and
 idempotent splittings are bit-identical across runs and platforms.  It runs
 in two phases: a forward pass clears each pivot's column below it, and is
 all that ``rank`` runs; back-substitution, last pivot first, clears above
-for ``rref``.  No matrix is inverted: ``inverse_times`` eliminates [a | b]
-once for the rank of a and a^-1 * b.  An idempotent e splits as the pair
-``(p, i)`` with ``e = i*p``; its rank is ``p.rows``.
+for ``rref``.  No matrix is inverted: ``solve`` eliminates [a | b] once
+for the rank of a and a solution X of a*X = b, a^-1 * b when a is
+invertible.  An idempotent e splits as the pair ``(p, i)`` with
+``e = i*p``; its rank is ``p.rows``.
 
 A matrix is built by ``Mat(rows, cols, dense_rows)``,
 ``Mat.from_rowmaps(rows, cols, maps)`` or ``Mat.identity(n)``; every route
@@ -603,41 +604,28 @@ def cokernel_projection(m: Mat) -> Mat:
     return kernel_basis(m.transpose()).transpose()
 
 
-def _right_block(red: Mat, rowcount: int, off: int, width: int):
-    """Columns >= off of red's first rowcount rows, shifted to start at 0."""
-    return _canon(rowcount, width, tuple(
-        {j - off: v for j, v in red.rowmaps[r].items() if j >= off}
-        for r in range(rowcount)), red.den)
-
-
-def inverse_times(a: Mat, b: Mat):
-    """(rank(a), a^-1 * b) from one elimination of [a | b]; the product is
-    None unless a is square of full rank."""
-    if a.rows != b.rows:
-        raise DimensionMismatch("inverse_times: row counts differ")
-    n = a.cols
-    red, pivots = rref(_hstack(a, b))
-    r = sum(c < n for c in pivots)
-    if r < a.rows or n != a.rows:
-        return r, None
-    return r, _right_block(red, n, n, b.cols)
-
-
 def solve(a: Mat, b: Mat):
-    """Deterministic particular solution X of a*X = b, or None if inconsistent.
+    """(rank(a), X) from one elimination of [a | b], where X is the
+    deterministic particular solution of a*X = b, or None if the system is
+    inconsistent; when a is square of full rank, X is a^-1 * b.
 
     Free variables are set to 0, so the result only depends on the input.
     """
     if a.rows != b.rows:
         raise DimensionMismatch("solve: row counts differ")
+    off = a.cols
     red, pivots = rref(_hstack(a, b))
-    if any(c >= a.cols for c in pivots):
-        return None
-    block = _right_block(red, len(pivots), a.cols, b.cols)
+    r = sum(c < off for c in pivots)
+    if r < len(pivots):
+        return r, None
+    # columns >= off of red's first r rows, shifted to start at 0
+    block = _canon(r, b.cols, tuple(
+        {j - off: v for j, v in red.rowmaps[t].items() if j >= off}
+        for t in range(r)), red.den)
     x = [{} for _ in range(a.cols)]
-    for r, c in enumerate(pivots):
-        x[c] = block.rowmaps[r]
-    return _make(a.cols, b.cols, tuple(x), block.den)
+    for t, c in enumerate(pivots):
+        x[c] = block.rowmaps[t]
+    return r, _make(a.cols, b.cols, tuple(x), block.den)
 
 
 def section(m: Mat):
@@ -652,7 +640,7 @@ def section(m: Mat):
     unit = [min((j for j, v in row.items() if v == one and count[j] == 1),
                 default=None) for row in m.rowmaps]
     if None in unit:
-        return solve(m, Mat.identity(m.rows))
+        return solve(m, Mat.identity(m.rows))[1]
     out = [{} for _ in range(m.cols)]
     for t, j in enumerate(unit):
         out[j] = {t: 1}

@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import exactmat
 from .baseobject import ActionData
-from .bimonad import AxiomReport, WeakBraidedBimonad, compare
+from .bimonad import AxiomReport, WeakBraidedBimonad, action_laws, compare
 from .entwining import EntwiningData
 from .errors import InconsistencyError
 from .tensorexpr import (TensorMap, coequaliser, compose, equaliser,
@@ -117,37 +117,33 @@ def build_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
     can, gamma_prime = build_cotensor_and_gamma_prime(bim, ent, acts)
     q_tilde, zeta = build_q_tilde(bim, ent, l)
 
-    report = AxiomReport()
-    report.add(fund0)
     # right H-module structure on Gbar and gamma as a module morphism
     gbar_act = compose([tensor(ent.ibar, one), lift(bim.m, 1, 0), ent.pbar])
-    idg = identity_map((ent.gbar_dim,))
-    report.add(compare("gal.gbar-assoc",
-                       compose([tensor(gbar_act, one), gbar_act]),
-                       compose([tensor(idg, bim.m), gbar_act])))
-    report.add(compare("gal.gbar-unit",
-                       compose([tensor(idg, bim.e), gbar_act]), idg))
-    report.add(compare("gal.gamma-module-morphism",
-                       compose([zeta, gamma]),
-                       compose([tensor(gamma, one), gbar_act])))
+    report = AxiomReport([
+        fund0,
+        *action_laws(("gal.gbar-assoc", "gal.gbar-unit"), bim.m, bim.e,
+                     gbar_act, right=True),
+        compare("gal.gamma-module-morphism",
+                compose([zeta, gamma]),
+                compose([tensor(gamma, one), gbar_act])),
+    ])
     b_map = compose([tensor(one, bim.e), ent.pbar])
-    gamma_rank, inv_b = exactmat.inverse_times(gamma.mat, b_map.mat)
-    gamma_inv_b = None if inv_b is None else TensorMap(b_map.dom, gamma.dom,
-                                                       inv_b)
+    gamma_rank, inv_b = exactmat.solve(gamma.mat, b_map.mat)
+    gamma_invertible = gamma_rank == gamma.mat.rows == gamma.mat.cols
+    gamma_inv_b = TensorMap(b_map.dom, gamma.dom, inv_b) \
+        if gamma_invertible else None
     gp_mat = gamma_prime.mat
     gp_rank = exactmat.rank(gp_mat)
     data = GaloisData(
         l=l, tensor_dim=l.cod[0], can=can, cotensor_dim=can.dom[0],
         gamma=gamma, gamma_inv_b=gamma_inv_b, gamma_prime=gamma_prime,
         q_tilde=q_tilde, zeta=zeta,
-        gamma_invertible=inv_b is not None, gamma_rank=gamma_rank,
+        gamma_invertible=gamma_invertible, gamma_rank=gamma_rank,
         gamma_prime_invertible=gp_rank == gp_mat.rows == gp_mat.cols,
         gamma_prime_rank=gp_rank,
         report=report,
     )
-    failed = report.failed_ids()
-    if failed:
-        raise InconsistencyError("build_galois: " + ", ".join(failed))
+    report.require("build_galois")
     return data
 
 

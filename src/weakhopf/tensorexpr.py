@@ -315,13 +315,6 @@ def graded_flip_map(grading) -> TensorMap:
     return hmap(n, 2, 2, Mat.from_rowmaps(n * n, n * n, maps))
 
 
-def convolution(f: TensorMap, g: TensorMap, m: TensorMap, delta: TensorMap) -> TensorMap:
-    """Convolution product f * g = m . (f (x) g) . delta on endomaps of H."""
-    if f.dom != f.cod or g.dom != g.cod or f.dom != g.dom:
-        raise ArityMismatch("convolution needs two endomaps of the same carrier")
-    return compose([delta, tensor(f, g), m])
-
-
 # ---------------------------------------------------------------------------
 # expression language:  NAME | 'id' '^' INT | e '∘' e | e '⊗' e | '(' e ')'
 # '⊗' binds tighter than '∘'.

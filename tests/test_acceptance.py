@@ -32,7 +32,7 @@ def _report(criterion, ok=True):
 
 def inverse(m):
     """m^-1, as the solution X of m*X = I."""
-    return solve(m, Mat.identity(m.rows))
+    return solve(m, Mat.identity(m.rows))[1]
 
 
 def _entry(report, axiom_id):

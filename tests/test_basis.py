@@ -40,7 +40,8 @@ def change_basis(bim, p):
     delta' = (P^-1 (x) P^-1) . delta . P, and likewise e, eps, tau and
     tau_prime."""
     n = bim.n
-    fwd, back = hmap(n, 1, 1, p), hmap(n, 1, 1, solve(p, Mat.identity(n)))
+    _, inverse = solve(p, Mat.identity(n))
+    fwd, back = hmap(n, 1, 1, p), hmap(n, 1, 1, inverse)
     fwd2, back2 = tensor(fwd, fwd), tensor(back, back)
     tau = compose([fwd2, bim.tau, back2])
     tau_prime = None if bim.tau_prime is bim.tau \

@@ -1,15 +1,18 @@
 import dataclasses
+import random
 from importlib import resources
 
 import pytest
 
 from weakhopf import bimonad as bm
+from weakhopf import entwining as ew
 from weakhopf import exactmat
 from weakhopf import instances as inst
 from weakhopf.errors import PrerequisiteAxiomFailed, TauPrimeRequired
 from weakhopf.exactmat import Mat
+from weakhopf.pipeline import Pipeline
 from weakhopf.tensorexpr import (TensorMap, compose, flip_map, hmap,
-                                 identity_map, lift)
+                                 identity_map, lift, tensor)
 
 
 def mutate_map(f, row, col, value):
@@ -172,3 +175,138 @@ def test_replace_derives_nabla_afresh_after_it_was_read():
     assert other.nabla == compose([t, t]) != bim.nabla
     assert dataclasses.replace(other, tau_prime=None, tau=bim.tau).nabla == \
         bim.nabla
+
+
+# The action and coaction laws as each check site wrote them out before
+# bm.action_laws and bm.coaction_laws stated them once.  A lawful action
+# passes on either side, so only failing witnesses tell the sides apart.
+def _written_out(kind, side, bim, f):
+    if kind == "action":
+        one, idx = bim.id1(), identity_map(f.cod)
+        if side == "left":
+            return [(compose([tensor(bim.m, idx), f]),
+                     compose([tensor(one, f), f])),
+                    (compose([tensor(bim.e, idx), f]), idx)]
+        return [(compose([tensor(idx, bim.m), f]),
+                 compose([tensor(f, one), f])),
+                (compose([tensor(idx, bim.e), f]), idx)]
+    one, idx = bim.id1(), identity_map(f.dom)
+    if side == "left":
+        return [(compose([f, tensor(bim.delta, idx)]),
+                 compose([f, tensor(one, f)])),
+                (compose([f, tensor(bim.eps, idx)]), idx)]
+    return [(compose([f, tensor(idx, bim.delta)]),
+             compose([f, tensor(f, one)])),
+            (compose([f, tensor(idx, bim.eps)]), idx)]
+
+
+def _side_case(name, kind, seed):
+    """The instance and a map that breaks its (co)action laws: the regular
+    (co)action with `seed` entries moved at random, or the zero map for
+    seed 0, whose (co)associativity holds and whose (co)unit law fails."""
+    bim = inst.BUILTINS[name]()
+    f = bim.m if kind == "action" else bim.delta
+    if seed == 0:
+        return bim, dataclasses.replace(
+            f, mat=Mat.from_rowmaps(f.mat.rows, f.mat.cols,
+                                    [{}] * f.mat.rows))
+    return bim, _moved(f, seed)
+
+
+def _moved(f, seed):
+    """f with `seed` random entries each moved by -1, 1 or 2."""
+    rng = random.Random(seed)
+    for _ in range(seed):
+        row, col = rng.randrange(f.mat.rows), rng.randrange(f.mat.cols)
+        f = mutate_map(f, row, col,
+                       f.mat.data[row][col] + rng.choice((-1, 1, 2)))
+    return f
+
+
+def _rows(entries):
+    return [(e.axiom_id, e.holds, e.witness) for e in entries]
+
+
+SIDE_CASES = [(name, kind, side, seed) for name in ("g2", "z2")
+              for kind in ("action", "coaction") for side in ("left", "right")
+              for seed in range(4)]
+
+
+@pytest.mark.parametrize("name, kind, side, seed", SIDE_CASES)
+def test_the_law_helpers_give_the_written_out_witnesses(name, kind, side,
+                                                        seed):
+    bim, f = _side_case(name, kind, seed)
+    laws, structure = ((bm.action_laws, (bim.m, bim.e)) if kind == "action"
+                       else (bm.coaction_laws, (bim.delta, bim.eps)))
+    ids, right = ("x.assoc", "x.unit"), side == "right"
+    got = laws(ids, *structure, f, right=right)
+    want = [bm.compare(i, lhs, rhs)
+            for i, (lhs, rhs) in zip(ids, _written_out(kind, side, bim, f))]
+    assert _rows(got) == _rows(want)
+    assert not all(e.holds for e in got)
+    if seed == 0:
+        assert [e.holds for e in got] == [True, False]
+    # a law whose id is None is left out, the other keeps its entry
+    skip = laws((None, "x.unit"), *structure, f, right=right)
+    assert _rows(skip) == _rows(want[1:])
+
+
+@pytest.mark.parametrize("name", ["g2", "z2"])
+@pytest.mark.parametrize("kind", ["action", "coaction"])
+def test_the_side_cases_tell_left_from_right(name, kind):
+    # on some case the two written-out sides disagree, so a helper that
+    # swapped them would fail the test above
+    def rows(side, bim, f):
+        return [(e.holds, e.witness) for e in (
+            bm.compare("x", lhs, rhs)
+            for lhs, rhs in _written_out(kind, side, bim, f))]
+
+    cases = [_side_case(name, kind, seed) for seed in range(1, 4)]
+    assert any(rows("left", *case) != rows("right", *case)
+               for case in cases)
+
+
+def _entwining_written_out(ent, bim):
+    """check_weak_entwining's ten laws as they were written out, in its
+    report order: m.i-ii, c.i-ii, m.compat, c.compat."""
+    m, e, delta, eps = bim.m, bim.e, bim.delta, bim.eps
+    one = bim.id1()
+    w, wb = ent.omega, ent.omegabar
+    return [
+        (compose([lift(m, 0, 1), w]),
+         compose([lift(w, 1, 0), lift(w, 0, 1), lift(m, 1, 0)])),
+        (compose([w, lift(delta, 0, 1)]),
+         compose([lift(delta, 1, 0), lift(w, 0, 1), lift(w, 1, 0)])),
+        (compose([tensor(e, one), w]), compose([delta, tensor(one, ent.xi)])),
+        (compose([w, tensor(eps, one)]), compose([tensor(one, ent.xi), m])),
+        (compose([lift(m, 1, 0), wb]),
+         compose([lift(wb, 0, 1), lift(wb, 1, 0), lift(m, 0, 1)])),
+        (compose([wb, lift(delta, 1, 0)]),
+         compose([lift(delta, 0, 1), lift(wb, 1, 0), lift(wb, 0, 1)])),
+        (compose([tensor(one, e), wb]),
+         compose([delta, tensor(ent.xibar, one)])),
+        (compose([wb, tensor(one, eps)]),
+         compose([tensor(ent.xibar, one), m])),
+        (compose([m, delta]),
+         compose([lift(delta, 1, 0), lift(w, 0, 1), lift(m, 1, 0)])),
+        (compose([m, delta]),
+         compose([lift(delta, 0, 1), lift(wb, 1, 0), lift(m, 0, 1)])),
+    ]
+
+
+@pytest.mark.parametrize("name", ["g2", "z2"])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_the_mirrored_entwining_laws_give_the_written_out_witnesses(name,
+                                                                    seed):
+    bim = inst.BUILTINS[name]()
+    ent = Pipeline(bim).entwining_maps
+    broken = dataclasses.replace(ent, omegabar=_moved(ent.omegabar, seed))
+    got = ew.check_weak_entwining(broken, bim).entries
+    ids = [f"ent.{s}.{law}" for s in "mc"
+           for law in ("i-mult", "i-comult", "ii-unit", "ii-counit")]
+    ids += ["ent.m.compat", "ent.c.compat"]
+    want = [bm.compare(i, lhs, rhs) for i, (lhs, rhs) in
+            zip(ids, _entwining_written_out(broken, bim))]
+    assert _rows(got) == _rows(want)
+    assert all(e.holds for e in got if e.axiom_id.startswith("ent.m."))
+    assert not all(e.holds for e in got)

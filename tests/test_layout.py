@@ -4,10 +4,11 @@ Splittings, kernels, cokernels and sections are computed on matrices in
 ``exactmat`` and turned into maps between tensor powers once, in
 ``tensorexpr`` (``split``, ``equaliser``, ``coequaliser``,
 ``factor_through``); every other module goes through those four.  No
-module imports a private name from a sibling, and every function reads
-each of its parameters.  Every function and method is reached from the
-command line or from one of the named ``ENTRY_POINTS``, and every file
-parses at the oldest Python that pyproject.toml admits.
+module imports a private name from a sibling or a name it never reads,
+and every function reads each of its parameters.  Every function and
+method is reached from the command line or from one of the named
+``ENTRY_POINTS``, and every file parses at the oldest Python that
+pyproject.toml admits.
 """
 
 import ast
@@ -107,6 +108,54 @@ def test_every_function_reads_its_parameters():
              for path in sorted(SRC.glob("*.py"))}
     assert "tensorexpr" in found
     assert {name: v for name, v in found.items() if v} == {}
+
+
+def _unused_imports(source):
+    """(line, name) of every name that an import binds in source and that
+    source never reads; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in bound if name not in read)
+    return found
+
+
+def test_the_import_checker_sees_each_kind_of_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import sys\n"
+              "from . import exactmat as em, tensorexpr\n"
+              "from .bimonad import compare, compose\n"
+              "def f(x: Mat) -> str:\n"
+              "    from .exactmat import Mat, rank\n"
+              "    return os.sep + em.name + compare(x)\n")
+    assert sorted(_unused_imports(source)) == [
+        (3, "sys"), (4, "tensorexpr"), (5, "compose"), (7, "rank")]
+
+
+# Imports kept unread, each with its reason; __init__.py re-exports the
+# library API and is not checked.
+UNREAD_IMPORTS = {
+    ("hopf", "require_instance"):
+        "bench/test_bench.py traces it (ROADMAP item 1 removes it)",
+    ("entwining", "require_instance"):
+        "bench/test_bench.py traces it (ROADMAP item 1 removes it)",
+}
+
+
+def test_every_import_in_src_is_read():
+    found = {(path.stem, name)
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
+             for _, name in _unused_imports(path.read_text(encoding="utf-8"))}
+    assert found == set(UNREAD_IMPORTS)
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -16,7 +16,6 @@ from weakhopf.tensorexpr import (
     TensorMap,
     coequaliser,
     compose,
-    convolution,
     equaliser,
     factor_through,
     flip_map,
@@ -204,8 +203,9 @@ def test_factor_through_rejects_a_non_surjective_projection():
 def test_convolution_primitive_signature(z2):
     bim = z2.bim
     one = bim.id1()
-    assert convolution(one, one, bim.m, bim.delta) == \
-        compose([bim.delta, bim.m])
+    assert bim.convolve(one, one) == compose([bim.delta, bim.m])
+    with pytest.raises(ArityMismatch, match="two endomaps"):
+        bim.convolve(one, bim.delta)
 
 
 def test_parse_triple_product(g2):
