@@ -54,6 +54,13 @@ class AxiomReport:
     def failed_ids(self):
         return [e.axiom_id for e in self.entries if not e.holds and not e.informational]
 
+    def gate(self):
+        """The prerequisite gate: PrerequisiteAxiomFailed naming the failed
+        ids if any entry fails."""
+        failed = self.failed_ids()
+        if failed:
+            raise PrerequisiteAxiomFailed(failed)
+
     def require(self, context: str):
         """The gate of a theorem-backed report: InconsistencyError
         "<context>: <failed ids>" if any entry fails."""
@@ -282,8 +289,7 @@ def check_instance(bim: WeakBraidedBimonad) -> dict:
 
 
 def require_instance(bim: WeakBraidedBimonad):
-    failed = []
-    for report in check_instance(bim).values():
-        failed.extend(report.failed_ids())
-    if failed:
-        raise PrerequisiteAxiomFailed(failed)
+    report = AxiomReport()
+    for part in check_instance(bim).values():
+        report.extend(part)
+    report.gate()

@@ -49,7 +49,7 @@ def _gated(cmd):
         try:
             pipe.require()
         except PrerequisiteAxiomFailed as exc:
-            sys.stdout.write(f"prerequisite axioms failed: {exc}\n")
+            sys.stdout.write(f"{exc}\n")
             return 1
         return cmd(args, pipe)
     return run
@@ -301,8 +301,6 @@ def _parse_table(text):
 def cmd_gen(args) -> int:
     # every branch checks the requested size before any map is built
     if args.kind == "groupoid":
-        if args.objects is None:
-            raise InvalidSpec("gen groupoid needs --objects")
         # k objects carry at least their k identity arrows, so the dim is
         # at least k: refused before the arrows or components are listed
         inst.check_max_dim(_positive(args.objects, "--objects"), args.max_dim)
@@ -318,29 +316,23 @@ def cmd_gen(args) -> int:
         inst.check_max_dim(spec.dim(), args.max_dim)
         bim = inst.groupoid_algebra(spec, name=name)
     elif args.kind == "group":
-        if args.cyclic is None and not args.table:
-            raise InvalidSpec("gen group needs --cyclic N or --table")
         if args.cyclic is not None:
             inst.check_max_dim(_positive(args.cyclic, "--cyclic"), args.max_dim)
             table = inst.cyclic_group_table(args.cyclic)
+            name = args.name or f"Z{args.cyclic}"
         else:
             table = _parse_table(args.table)
             inst.check_max_dim(len(table), args.max_dim)
-        name = args.name or (f"Z{args.cyclic}" if args.cyclic is not None
-                             else f"group{len(table)}")
+            name = args.name or f"group{len(table)}"
         bim = inst.group_algebra(table, name=name)
     elif args.kind == "monoid":
-        if not args.table:
-            raise InvalidSpec("gen monoid needs --table \"0,1;1,1\"")
         table = _parse_table(args.table)
         inst.check_max_dim(len(table), args.max_dim)
         bim = inst.monoid_algebra(table, name=args.name or f"monoid{len(table)}")
     elif args.kind == "superline":
         inst.check_max_dim(2, args.max_dim)
         bim = inst.super_line()
-    else:  # dual, the last of the choices that argparse admits
-        if not args.of:
-            raise InvalidSpec("gen dual needs --of INSTANCE")
+    else:  # dual, the last of the kinds that argparse admits
         bim = inst.dual_instance(inst.load(args.of, max_dim=args.max_dim))
 
     pipe = Pipeline(bim)
@@ -390,18 +382,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("expr")
 
-    p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("kind",
-                   choices=["groupoid", "group", "monoid", "superline", "dual"])
-    p.add_argument("--objects", type=int)
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--arrows")
-    p.add_argument("--cyclic", type=int)
-    p.add_argument("--table")
-    p.add_argument("--of")
-    p.add_argument("--name")
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--max-dim", type=int, default=12)
+    # each kind declares only its own options; argparse refuses the others
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--out", dest="outfile", required=True)
+    target.add_argument("--max-dim", type=int, default=12)
+    named = argparse.ArgumentParser(add_help=False, parents=[target])
+    named.add_argument("--name")
+    kinds = sub.add_parser("gen", help="generate an instance file") \
+        .add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("groupoid", parents=[named])
+    p.add_argument("--objects", type=int, required=True)
+    arrows = p.add_mutually_exclusive_group()
+    arrows.add_argument("--full", action="store_true")
+    arrows.add_argument("--arrows")
+    table = kinds.add_parser("group", parents=[named]) \
+        .add_mutually_exclusive_group(required=True)
+    table.add_argument("--cyclic", type=int)
+    table.add_argument("--table")
+    p = kinds.add_parser("monoid", parents=[named])
+    p.add_argument("--table", required=True)
+    kinds.add_parser("superline", parents=[target])
+    p = kinds.add_parser("dual", parents=[target])
+    p.add_argument("--of", required=True)
     return parser
 
 

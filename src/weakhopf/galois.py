@@ -44,7 +44,6 @@ class GaloisData:
     gamma_inv_b: Optional[TensorMap]
     gamma_prime: TensorMap  # (tbar,) -> (c,)
     q_tilde: TensorMap      # (t,) -> (n,)
-    zeta: TensorMap         # (t, n) -> (t,), induced right action on the quotient
     gamma_invertible: bool
     gamma_rank: int
     gamma_prime_invertible: bool
@@ -137,7 +136,7 @@ def build_galois(bim: WeakBraidedBimonad, ent: EntwiningData,
     data = GaloisData(
         l=l, tensor_dim=l.cod[0], can=can, cotensor_dim=can.dom[0],
         gamma=gamma, gamma_inv_b=gamma_inv_b, gamma_prime=gamma_prime,
-        q_tilde=q_tilde, zeta=zeta,
+        q_tilde=q_tilde,
         gamma_invertible=gamma_invertible, gamma_rank=gamma_rank,
         gamma_prime_invertible=gp_rank == gp_mat.rows == gp_mat.cols,
         gamma_prime_rank=gp_rank,

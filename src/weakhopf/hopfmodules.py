@@ -110,9 +110,7 @@ def induced_comonad_on_module(bim: WeakBraidedBimonad, ent: EntwiningData,
     """Split the comonad idempotent Gamma at the module (a, h) and verify the
     induced comonad component laws at this object (counit laws and
     coassociativity, plus module-morphism facts for both components)."""
-    law_report = check_module(bim, h)
-    if not law_report.passed:
-        raise PrerequisiteAxiomFailed(law_report.failed_ids())
+    check_module(bim, h).gate()
     gamma, p, i, act, delta0, eps0, laws = _induced_comonad(
         bim, ent.omega, h)
     report = AxiomReport()
@@ -190,9 +188,7 @@ def induced_monad_on_comodule(bim: WeakBraidedBimonad, ent: EntwiningData,
     is the transpose (i^T, p^T) of the one of Gamma, and each law compares
     the transposed-back sides.
     """
-    law_report = check_comodule(bim, theta)
-    if not law_report.passed:
-        raise PrerequisiteAxiomFailed(law_report.failed_ids())
+    check_comodule(bim, theta).gate()
     gamma, p, i, act, delta0, eps0, laws = _induced_comonad(
         dual_instance(bim), transpose(ent.omega), transpose(theta))
     report = AxiomReport()
@@ -219,8 +215,7 @@ def coinvariants(bim: WeakBraidedBimonad, ent: EntwiningData,
     """
     if laws is None:
         laws = check_mixed_bimodule(bim, ent, mod)
-    if not laws.passed:
-        raise PrerequisiteAxiomFailed(laws.failed_ids())
+    laws.gate()
     idd = identity_map((mod.dim,))
     one = bim.id1()
     canonical = compose([

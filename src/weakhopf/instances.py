@@ -4,10 +4,10 @@ Instance files are JSON documents with sparse structure-constant tables and
 rational literals like "3/4"; zero entries are omitted and duplicate index
 tuples are a hard error.  See the README for the full schema.
 
-Generators:
-  * groupoid_algebra  -- basis = arrows of the equivalence-relation groupoid
-    generated by the given arrows (matrix-unit product, group-like coproduct)
-  * group_algebra / monoid_algebra -- ordinary bialgebras from a Cayley table
+Generators; all but dual_instance build their document and read it by from_doc:
+  * category_algebra -- basis = arrows of a finite category (composite-or-zero
+    product, group-like coproduct); groupoid_algebra, monoid_algebra and
+    group_algebra give it a groupoid or a Cayley table
   * super_line -- exterior algebra on one odd generator with the graded flip
   * dual_instance -- transpose all structure maps, swapping (m, e), (delta, eps)
 """
@@ -34,7 +34,6 @@ from .exactmat import Mat
 from .tensorexpr import (
     TensorMap,
     flip_map,
-    from_table,
     graded_flip_map,
     identity_map,
     transpose,
@@ -83,36 +82,41 @@ def discrete_groupoid(objects: int) -> GroupoidSpec:
     return GroupoidSpec(objects, ())
 
 
+def category_algebra(n, compose, units, name) -> WeakBraidedBimonad:
+    """The algebra of a finite category on its n arrows, built by from_doc.
+
+    ``compose(i, j)`` is the composite arrow of i then j, or None; the unit
+    is the sum of the identity arrows ``units``.  Every arrow is group-like
+    and tau is the flip."""
+    return from_doc({
+        "name": name, "dim": n, "tau": "flip",
+        "m": [[i, j, k, 1] for i in range(n) for j in range(n)
+              if (k := compose(i, j)) is not None],
+        "e": [[u, 1] for u in units],
+        "delta": [[i, i, i, 1] for i in range(n)],
+        "eps": [[i, 1] for i in range(n)],
+    })
+
+
 def groupoid_algebra(spec: GroupoidSpec, name: str = "") -> WeakBraidedBimonad:
     """Arrows as basis, composition-or-zero product, group-like coproduct."""
     basis = spec.arrow_basis()
-    n = len(basis)
-    if n == 0:
+    if not basis:
         raise InvalidSpec("groupoid has no arrows")
     index = {arrow: k for k, arrow in enumerate(basis)}
-    m_entries = {}
-    for i, (u, v) in enumerate(basis):
-        for j, (w, z) in enumerate(basis):
-            if v == w:
-                m_entries[(i, j, index[(u, z)])] = 1
-    e_entries = {(index[(u, u)],): 1 for u in range(spec.objects)
-                 if (u, u) in index}
-    delta_entries = {(i, i, i): 1 for i in range(n)}
-    eps_entries = {(i,): 1 for i in range(n)}
-    return WeakBraidedBimonad(
-        from_table(n, 2, 1, m_entries), from_table(n, 0, 1, e_entries),
-        from_table(n, 1, 2, delta_entries), from_table(n, 1, 0, eps_entries),
-        flip_map(n),
-        name=name or f"groupoid({spec.objects},{len(spec.arrows)} arrows)",
-    )
+    return category_algebra(
+        len(basis), lambda i, j: index[(basis[i][0], basis[j][1])]
+        if basis[i][1] == basis[j][0] else None,
+        [index[(u, u)] for u in range(spec.objects)],
+        name or f"groupoid({spec.objects},{len(spec.arrows)} arrows)")
 
 
 def groupoid_antipode(spec: GroupoidSpec) -> TensorMap:
     """The known antipode: each arrow to its inverse."""
     basis = spec.arrow_basis()
     index = {arrow: k for k, arrow in enumerate(basis)}
-    entries = {(i, index[(v, u)]): 1 for i, (u, v) in enumerate(basis)}
-    return from_table(len(basis), 1, 1, entries)
+    rows = [[i, index[(v, u)], 1] for i, (u, v) in enumerate(basis)]
+    return _read_map({"S": rows}, "S", (len(basis),), (len(basis),))
 
 
 def _check_table(table):
@@ -139,14 +143,8 @@ def monoid_algebra(table, name: str = "") -> WeakBraidedBimonad:
     """Ordinary bialgebra on a monoid: group-like coproduct, flip braiding."""
     unit = _check_table(table)
     n = len(table)
-    m_entries = {(i, j, table[i][j]): 1 for i in range(n) for j in range(n)}
-    return WeakBraidedBimonad(
-        from_table(n, 2, 1, m_entries), from_table(n, 0, 1, {(unit,): 1}),
-        from_table(n, 1, 2, {(i, i, i): 1 for i in range(n)}),
-        from_table(n, 1, 0, {(i,): 1 for i in range(n)}),
-        flip_map(n),
-        name=name or f"monoid({n})",
-    )
+    return category_algebra(n, lambda i, j: table[i][j], [unit],
+                            name or f"monoid({n})")
 
 
 def group_algebra(table, name: str = "") -> WeakBraidedBimonad:
@@ -165,14 +163,11 @@ def cyclic_group_table(n: int):
 
 def super_line() -> WeakBraidedBimonad:
     """Exterior algebra on one odd generator x with the graded flip."""
-    m_entries = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
-    delta_entries = {(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1}
-    return WeakBraidedBimonad(
-        from_table(2, 2, 1, m_entries), from_table(2, 0, 1, {(0,): 1}),
-        from_table(2, 1, 2, delta_entries), from_table(2, 1, 0, {(0,): 1}),
-        graded_flip_map((0, 1)),
-        name="SL",
-    )
+    return from_doc({
+        "name": "SL", "dim": 2, "tau": "flip", "grading": [0, 1],
+        "m": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]], "e": [[0, 1]],
+        "delta": [[0, 0, 0, 1], [1, 1, 0, 1], [1, 0, 1, 1]], "eps": [[0, 1]],
+    })
 
 
 def dual_instance(bim: WeakBraidedBimonad) -> WeakBraidedBimonad:

@@ -104,29 +104,6 @@ def hmap(n, in_arity, out_arity, mat) -> TensorMap:
     return TensorMap((n,) * in_arity, (n,) * out_arity, mat)
 
 
-def from_table(n, in_arity, out_arity, entries) -> TensorMap:
-    """Build an H-power map from sparse structure constants.
-
-    ``entries`` maps (in multi-index..., out multi-index...) written as a flat
-    tuple of ``in_arity`` domain indices followed by ``out_arity`` codomain
-    indices to a coefficient.  An index outside 0..n-1 is refused.
-    """
-    rows = n ** out_arity
-    maps = [{} for _ in range(rows)]
-    for key, value in entries.items():
-        if len(key) != in_arity + out_arity or not all(0 <= i < n for i in key):
-            raise DimensionMismatch(
-                f"index tuple {key} is not {in_arity} + {out_arity} indices "
-                f"in 0..{n - 1}")
-        flat = 0
-        for i in key:
-            flat = flat * n + i
-        col, row = divmod(flat, rows)
-        maps[row][col] = value
-    return hmap(n, in_arity, out_arity,
-                Mat.from_rowmaps(rows, n ** in_arity, maps))
-
-
 def _pad(steps, left, right, at):
     """The steps run beside an identity of size left on the at factors to
     their left and one of size right on the factors to their right."""

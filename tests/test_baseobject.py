@@ -4,7 +4,7 @@ import pytest
 
 from weakhopf import baseobject as bo
 from weakhopf.exactmat import Mat, mul, same_column_span
-from weakhopf.tensorexpr import compose, from_table, tensor
+from weakhopf.tensorexpr import compose, hmap, tensor
 
 
 EXPECTED_BASE_DIM = {"g2": 2, "k2": 2, "z2": 1, "sl": 1, "nz": 1}
@@ -34,8 +34,9 @@ def test_pi_splitting(any_pipeline):
 def test_g2_base_is_diagonal_product_of_fields(g2):
     base = g2.base
     # m_base(b_x (x) b_y) = delta_xy b_x, delta_base(b_x) = b_x (x) b_x
-    assert base.m_base == from_table(2, 2, 1, {(0, 0, 0): 1, (1, 1, 1): 1})
-    assert base.delta_base == from_table(2, 1, 2, {(0, 0, 0): 1, (1, 1, 1): 1})
+    assert base.m_base == hmap(2, 2, 1, Mat(2, 4, [[1, 0, 0, 0], [0, 0, 0, 1]]))
+    assert base.delta_base == hmap(2, 1, 2,
+                                   Mat(4, 2, [[1, 0], [0, 0], [0, 0], [0, 1]]))
     assert base.upsilon.mat == Mat(4, 1, [[1], [0], [0], [1]])
 
 

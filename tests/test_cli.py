@@ -296,6 +296,21 @@ def test_gen_refuses_a_part_that_is_not_an_int(tmp_path, argv, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "superline", "--cyclic", "3"],
+    ["gen", "dual", "--of", "F", "--name", "X"],
+    ["gen", "groupoid", "--objects", "2", "--full", "--arrows", "0-5"],
+    ["gen", "group", "--cyclic", "2", "--table", "0,1;1,0"],
+])
+def test_gen_refuses_an_option_its_kind_does_not_take(tmp_path, argv, capsys):
+    # argparse exits 2, as for an unknown command, before anything is built
+    out_file = tmp_path / "out.instance"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out_file)])
+    assert exc.value.code == 2
+    assert not out_file.exists()
+
+
 def test_check_refuses_a_directory_as_input(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path)]) == 2
     assert "input error: " in capsys.readouterr().err

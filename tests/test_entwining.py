@@ -5,7 +5,7 @@ from weakhopf import entwining as ew
 from weakhopf import instances as inst
 from weakhopf.exactmat import Mat
 from weakhopf.pipeline import Pipeline
-from weakhopf.tensorexpr import compose, from_table, identity_map
+from weakhopf.tensorexpr import compose, hmap, identity_map
 
 
 ARROWS = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -18,12 +18,12 @@ def _entry(report, axiom_id):
 
 def arrow_endo(rule):
     """Structure-constant oracle: rule maps an arrow to an arrow (or None)."""
-    entries = {}
+    rows = [[0] * 4 for _ in ARROWS]
     for k, arrow in enumerate(ARROWS):
         out = rule(arrow)
         if out is not None:
-            entries[(k, ARROWS.index(out))] = 1
-    return from_table(4, 1, 1, entries)
+            rows[ARROWS.index(out)][k] = 1
+    return hmap(4, 1, 1, Mat(4, 4, rows))
 
 
 def test_g2_xi_and_xibar_structure_constants(g2):

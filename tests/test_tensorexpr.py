@@ -19,7 +19,6 @@ from weakhopf.tensorexpr import (
     equaliser,
     factor_through,
     flip_map,
-    from_table,
     hmap,
     identity_map,
     lift,
@@ -316,24 +315,6 @@ def test_parse_unknown_name_and_arity_error(g2):
 def test_tensor_map_shape_guard():
     with pytest.raises(Exception):
         TensorMap((2,), (2,), Mat(3, 2, [[0, 0]] * 3))
-
-
-@pytest.mark.parametrize("in_arity, out_arity, entries", [
-    (0, 2, {(0, 2): 1, (1, 0): 1}),        # (0, 2) would alias (1, 0)
-    (2, 1, {(0, 2, 0): 1, (1, 0, 0): 1}),
-    (1, 1, {(0, -1): 1}),
-    (1, 1, {(0, 0, 0): 1}),                 # one index too many
-])
-def test_from_table_refuses_indices_outside_the_carrier(
-        in_arity, out_arity, entries):
-    with pytest.raises(DimensionMismatch):
-        from_table(2, in_arity, out_arity, entries)
-
-
-def test_from_table_places_each_entry_at_its_own_position():
-    f = from_table(2, 2, 1, {(0, 1, 1): F(1, 2), (1, 0, 0): -3, (1, 1, 0): 0})
-    assert f.dom == (2, 2) and f.cod == (2,)
-    assert f.mat.data == ((0, 0, -3, 0), (0, F(1, 2), 0, 0))
 
 
 def test_threads_reading_one_lazy_matrix_get_equal_results():
